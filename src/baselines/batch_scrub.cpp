@@ -7,6 +7,26 @@
 
 namespace sudoku::baselines {
 
+void format_random_bch(const Bch& bch, SttramArray& array, Rng& rng) {
+  // Message words are assigned whole; the parity words past them are
+  // rewritten by encode(), so the scratch codeword needs no clearing.
+  BitVec cw(bch.codeword_bits());
+  const std::size_t k = bch.message_bits();
+  for (std::uint64_t unit = 0; unit < array.num_lines(); ++unit) {
+    const auto words = cw.words();
+    for (std::size_t base = 0; base < k; base += 64) {
+      const std::size_t width = std::min<std::size_t>(64, k - base);
+      std::uint64_t w = 0;
+      for (std::size_t b = 0; b < width; ++b) {
+        w |= static_cast<std::uint64_t>(rng.next_bool(0.5)) << b;
+      }
+      words[base / 64] = w;
+    }
+    bch.encode(cw);
+    array.write_line(unit, cw);
+  }
+}
+
 BaselineStats batch_scrub_bch(const Bch& bch, SttramArray& array,
                               std::span<const std::uint64_t> units,
                               std::size_t min_batch) {

@@ -1,5 +1,7 @@
-// Shared batched BCH scrub loop for the per-unit baseline schemes (ECC-k
-// lines, Hi-ECC regions). In the Monte-Carlo runner every scrubbed unit
+// Shared loops for the per-unit BCH baseline schemes (ECC-k lines, Hi-ECC
+// and region-ECC regions): random formatting and the batched scrub.
+//
+// Scrub: in the Monte-Carlo runner every scrubbed unit
 // carries at least one injected fault, so there is no clean fast path to
 // exploit — the win is computing all the power-sum syndromes bit-sliced
 // across the batch (the BatchCodec engine, docs/perf.md) and feeding each
@@ -16,6 +18,10 @@
 #include "sttram/array.h"
 
 namespace sudoku::baselines {
+
+// Fill every unit of `array` with a random message (one rng.next_bool(0.5)
+// per message bit, bit 0 first, packed a word at a time) and its parity.
+void format_random_bch(const Bch& bch, SttramArray& array, Rng& rng);
 
 // Scrub `units` of `array` (one codeword per unit) with `bch`:
 // kCorrected units are written back, kUncorrectable ones recorded as DUE.

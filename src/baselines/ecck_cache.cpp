@@ -11,17 +11,7 @@ EccKCache::EccKCache(std::uint64_t num_lines, int k)
 
 std::string EccKCache::name() const { return "ECC-" + std::to_string(k_); }
 
-void EccKCache::format_random(Rng& rng) {
-  BitVec cw(bch_.codeword_bits());
-  for (std::uint64_t line = 0; line < array_.num_lines(); ++line) {
-    cw.clear();
-    for (std::uint32_t i = 0; i < 512; ++i) {
-      if (rng.next_bool(0.5)) cw.set(i);
-    }
-    bch_.encode(cw);
-    array_.write_line(line, cw);
-  }
-}
+void EccKCache::format_random(Rng& rng) { format_random_bch(bch_, array_, rng); }
 
 BaselineStats EccKCache::scrub_units(std::span<const std::uint64_t> units) {
   // Batched syndromes + decode_with_syndromes (bit-identical to per-line

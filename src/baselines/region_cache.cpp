@@ -30,15 +30,7 @@ std::string RegionEccCache::name() const {
 }
 
 void RegionEccCache::format_random(Rng& rng) {
-  BitVec cw(bch_.codeword_bits());
-  for (std::uint64_t region = 0; region < array_.num_lines(); ++region) {
-    cw.clear();
-    for (std::uint32_t i = 0; i < design_.data_bits; ++i) {
-      if (rng.next_bool(0.5)) cw.set(i);
-    }
-    bch_.encode(cw);
-    array_.write_line(region, cw);
-  }
+  format_random_bch(bch_, array_, rng);
 }
 
 BaselineStats RegionEccCache::scrub_units(std::span<const std::uint64_t> units) {

@@ -1,12 +1,37 @@
 #include "codes/bch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 namespace sudoku {
 
 namespace {
+
+// t·m <= kMaxSyndromeWords with m >= 3 bounds t, and with it every
+// per-decode array below (BM's locators never exceed 2t + 1 entries).
+constexpr int kMaxT = static_cast<int>(Bch::kMaxSyndromeWords) / 3;
+
+// Validates the constructor arguments that can be checked before the
+// field is built; returns m for the member initializer.
+int checked_field_order(int m, int t) {
+  if (t < 1) {
+    throw std::invalid_argument("Bch: t must be >= 1, got " + std::to_string(t));
+  }
+  if (m < 3 || m > 16) {
+    throw std::invalid_argument("Bch: m must be in [3, 16], got " + std::to_string(m));
+  }
+  const std::size_t words = static_cast<std::size_t>(t) * static_cast<std::size_t>(m);
+  if (words > Bch::kMaxSyndromeWords) {
+    throw std::invalid_argument(
+        "Bch: t·m = " + std::to_string(words) + " exceeds the " +
+        std::to_string(Bch::kMaxSyndromeWords) + "-word syndrome accumulator");
+  }
+  return m;
+}
 
 // Multiply polynomial (coeffs in GF(2^m), index = degree) by (x + root).
 void mul_by_linear(std::vector<std::uint32_t>& poly, std::uint32_t root, const GF2m& f) {
@@ -20,8 +45,7 @@ void mul_by_linear(std::vector<std::uint32_t>& poly, std::uint32_t root, const G
 }  // namespace
 
 Bch::Bch(int m, int t, std::size_t message_bits)
-    : m_(m), t_(t), k_(message_bits), field_(m) {
-  assert(t >= 1);
+    : m_(checked_field_order(m, t)), t_(t), k_(message_bits), field_(m) {
   // Generator = product of distinct minimal polynomials of alpha^1..alpha^2t.
   // Build via cyclotomic cosets mod 2^m - 1.
   const std::uint32_t order = field_.order();
@@ -37,15 +61,60 @@ Bch::Bch(int m, int t, std::size_t message_bits)
       j = static_cast<std::uint32_t>((2ull * j) % order);
     } while (j != i % order);
   }
-  // Coefficients of g must be in GF(2).
-  gen_.resize(g.size());
-  for (std::size_t d = 0; d < g.size(); ++d) {
-    assert(g[d] == 0 || g[d] == 1);
-    gen_[d] = static_cast<std::uint8_t>(g[d]);
-  }
-  r_ = gen_.size() - 1;
+  r_ = g.size() - 1;
   n_ = k_ + r_;
-  assert(n_ <= order);  // shortened code must fit the natural length
+  if (n_ > order) {
+    throw std::invalid_argument(
+        "Bch: message_bits + parity = " + std::to_string(n_) +
+        " exceeds the natural length 2^m - 1 = " + std::to_string(order));
+  }
+  // Coefficients of g must be in GF(2); r_ <= t·m <= 96 fits the two-word
+  // remainder.
+  for (std::size_t d = 0; d < r_; ++d) {
+    assert(g[d] == 0 || g[d] == 1);
+    if (g[d] != 0) {
+      const std::size_t j = r_ - 1 - d;
+      gen_reflected_[j / 64] |= std::uint64_t{1} << (j % 64);
+    }
+  }
+  // Byte table: entry v is the remainder after clocking the 8 message bits
+  // of v (bit 0 first) through a zero register. By linearity a byte step
+  // from any state is then (state >> 8) ^ table[(state ^ byte) & 0xFF].
+  enc_table_.resize(256);
+  for (std::uint32_t v = 0; v < 256; ++v) {
+    Remainder rem{};
+    for (int b = 0; b < 8; ++b) encode_bit(rem, (v >> b) & 1u);
+    enc_table_[v] = rem;
+  }
+
+  // Degree-2 solve matrix. With L(y) = y² + y, the images L(2^k) of the
+  // basis elements k = 1..m-1 span Im L (the basis element 1 is the
+  // kernel). Keep them in reduced echelon form — each pivot bit set in
+  // exactly one row — alongside their preimages; then any c in Im L is the
+  // XOR of the rows at its set pivot bits, and y the XOR of their
+  // preimages.
+  std::array<std::uint32_t, 16> rows{};  // indexed by pivot bit; 0 = none
+  for (int k = 1; k < m_; ++k) {
+    const std::uint32_t e = 1u << k;
+    std::uint32_t v = field_.mul(e, e) ^ e;
+    std::uint32_t pre = e;
+    for (int b = m_ - 1; b >= 0; --b) {
+      if (((v >> b) & 1u) && rows[b] != 0) {
+        v ^= rows[b];
+        pre ^= quad_solve_[b];
+      }
+    }
+    assert(v != 0);
+    const int pivot = std::bit_width(v) - 1;
+    for (int b = 0; b < m_; ++b) {
+      if ((rows[b] >> pivot) & 1u) {
+        rows[b] ^= v;
+        quad_solve_[b] ^= pre;
+      }
+    }
+    rows[pivot] = v;
+    quad_solve_[pivot] = pre;
+  }
 
   // Word-level syndrome tables: alpha^(j·(63-k)) weights plus the per-word
   // (alpha^j)^64 and per-tail (alpha^j)^tail Horner multipliers.
@@ -65,26 +134,44 @@ Bch::Bch(int m, int t, std::size_t message_bits)
   }
 }
 
+void Bch::encode_bit(Remainder& rem, std::uint32_t bit) const {
+  // One LFSR clock: the leaving coefficient x^(r-1) sits in bit 0.
+  const bool fold = ((rem[0] & 1u) ^ bit) != 0;
+  rem[0] = (rem[0] >> 1) | (rem[1] << 63);
+  rem[1] >>= 1;
+  if (fold) {
+    rem[0] ^= gen_reflected_[0];
+    rem[1] ^= gen_reflected_[1];
+  }
+}
+
 void Bch::encode(BitVec& codeword) const {
   assert(codeword.size() == n_);
-  // Systematic encoding: parity = message(x) · x^r mod g(x).
-  // LFSR division, message processed MSB-first (index 0 = highest degree).
-  std::vector<std::uint8_t> rem(r_, 0);
-  for (std::size_t i = 0; i < k_; ++i) {
-    const std::uint8_t fold = static_cast<std::uint8_t>(
-        (codeword.test(i) ? 1u : 0u) ^ (r_ > 0 ? rem[r_ - 1] : 0u));
-    // Shift remainder up by one degree.
-    for (std::size_t d = r_ - 1; d > 0; --d) rem[d] = rem[d - 1];
-    rem[0] = 0;
-    if (fold) {
-      for (std::size_t d = 0; d < r_; ++d) rem[d] ^= gen_[d];
-    }
+  // Systematic encoding: parity = message(x) · x^r mod g(x), message bit 0
+  // the highest degree. BitVec stores bit i at bit i%64 of word i/64, so
+  // the message already streams lowest-bit-first into the reflected LFSR.
+  Remainder rem{};
+  const auto byte_step = [&](std::uint64_t byte) {
+    const Remainder& e = enc_table_[(rem[0] ^ byte) & 0xFF];
+    rem[0] = ((rem[0] >> 8) | (rem[1] << 56)) ^ e[0];
+    rem[1] = (rem[1] >> 8) ^ e[1];
+  };
+  const auto words = codeword.words();
+  std::size_t i = 0;
+  for (; i + 64 <= k_; i += 64) {
+    std::uint64_t w = words[i / 64];
+    for (int b = 0; b < 8; ++b, w >>= 8) byte_step(w);
   }
-  // Parity bits stored MSB-first after the message: index k_+j holds the
-  // coefficient of x^(r-1-j).
-  for (std::size_t j = 0; j < r_; ++j) {
-    codeword.assign(k_ + j, rem[r_ - 1 - j] != 0);
+  if (i < k_) {
+    // Last partial word: whole bytes, then bit-serial up to k_ (the bits
+    // above k_ are the old parity and are not read).
+    std::uint64_t w = words[i / 64];
+    for (; i + 8 <= k_; i += 8, w >>= 8) byte_step(w);
+    for (; i < k_; ++i, w >>= 1) encode_bit(rem, static_cast<std::uint32_t>(w & 1u));
   }
+  // Parity bit k_+j is remainder bit j, the coefficient of x^(r-1-j).
+  codeword.set_bits(k_, static_cast<unsigned>(std::min<std::size_t>(r_, 64)), rem[0]);
+  if (r_ > 64) codeword.set_bits(k_ + 64, static_cast<unsigned>(r_ - 64), rem[1]);
 }
 
 std::uint32_t Bch::syndrome_one(const BitVec& codeword, int j0) const {
@@ -170,8 +257,8 @@ void Bch::build_slice_program() const {
 void Bch::accumulate_planes(const BitPlanes& planes, std::uint64_t* acc) const {
   assert(planes.nbits() == n_);
   std::call_once(slice_->once, [this] { build_slice_program(); });
+  // The constructor rejects t·m > kMaxSyndromeWords, the callers' buffer.
   const std::size_t nacc = static_cast<std::size_t>(t_) * m_;
-  assert(nacc <= 6 * 14);  // accumulator arrays are sized for t<=6, m<=14
   std::fill(acc, acc + nacc, 0);
   const std::uint64_t* plane = planes.planes().data();
   const std::uint16_t* prog = slice_->idx.data();
@@ -191,7 +278,7 @@ void Bch::batch_syndromes(const BitPlanes& planes, std::uint32_t* out) const {
   // gathering a line's odd syndromes is t*m single-bit reads and the even
   // ones are one field squaring each (S_2j = S_j^2, exact) — cheap next
   // to the n-long accumulation the batch just amortised 64 ways.
-  std::uint64_t acc[6 * 14];  // max t = 6, max m = 14
+  std::uint64_t acc[kMaxSyndromeWords];
   accumulate_planes(planes, acc);
   const std::size_t nsyn = static_cast<std::size_t>(2 * t_);
   for (std::size_t line = 0; line < planes.count(); ++line) {
@@ -214,7 +301,7 @@ void Bch::batch_syndromes(const BitPlanes& planes, std::uint32_t* out) const {
 std::uint64_t Bch::batch_syndromes_zero(const BitPlanes& planes) const {
   // Every even syndrome is a power-of-two Frobenius image of an odd one
   // (S_2j = S_j^2), so all 2t syndromes are zero iff the t odd ones are.
-  std::uint64_t acc[6 * 14];
+  std::uint64_t acc[kMaxSyndromeWords];
   accumulate_planes(planes, acc);
   std::uint64_t dirty = 0;
   const std::size_t nacc = static_cast<std::size_t>(t_) * m_;
@@ -224,8 +311,9 @@ std::uint64_t Bch::batch_syndromes_zero(const BitPlanes& planes) const {
 
 Bch::DecodeResult Bch::decode(BitVec& codeword) const {
   assert(codeword.size() == n_);
-  const auto s = syndromes(codeword);
-  return locate_and_correct(codeword, s);
+  std::array<std::uint32_t, 2 * kMaxT> s{};
+  for (int j0 = 0; j0 < 2 * t_; ++j0) s[j0] = syndrome_one(codeword, j0);
+  return locate_and_correct(codeword, {s.data(), static_cast<std::size_t>(2 * t_)});
 }
 
 Bch::DecodeResult Bch::decode_with_syndromes(BitVec& codeword,
@@ -240,82 +328,106 @@ Bch::DecodeResult Bch::locate_and_correct(BitVec& codeword,
   if (std::all_of(s.begin(), s.end(), [](std::uint32_t v) { return v == 0; })) {
     return {DecodeStatus::kClean, 0};
   }
+  constexpr DecodeResult kUncorrectable{DecodeStatus::kUncorrectable, 0};
 
   // Berlekamp–Massey: find the shortest LFSR (error locator Lambda) that
-  // generates the syndrome sequence.
-  std::vector<std::uint32_t> lambda = {1};
-  std::vector<std::uint32_t> b = {1};
+  // generates the syndrome sequence. Fixed arrays: entries past a
+  // locator's length stay zero, so growing one is a length update.
+  using Poly = std::array<std::uint32_t, 2 * kMaxT + 1>;
+  Poly lambda{};
+  Poly b{};
+  std::size_t lambda_len = 1;
+  std::size_t b_len = 1;
+  lambda[0] = 1;
+  b[0] = 1;
   int L = 0;
-  int m = 1;
+  std::size_t m = 1;
   std::uint32_t bdisc = 1;
+  Poly prev{};
   for (int nIdx = 0; nIdx < 2 * t_; ++nIdx) {
     // Discrepancy d = S_n + sum lambda_i * S_{n-i}.
     std::uint32_t d = s[nIdx];
-    for (int i = 1; i <= L && i < static_cast<int>(lambda.size()); ++i) {
+    for (int i = 1; i <= L && i < static_cast<int>(lambda_len); ++i) {
       d ^= field_.mul(lambda[i], s[nIdx - i]);
     }
     if (d == 0) {
       ++m;
       continue;
     }
-    if (2 * L <= nIdx) {
-      auto tpoly = lambda;
-      // lambda = lambda - (d / bdisc) x^m b
-      const std::uint32_t coef = field_.div(d, bdisc);
-      if (lambda.size() < b.size() + m) lambda.resize(b.size() + m, 0);
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        lambda[i + m] ^= field_.mul(coef, b[i]);
-      }
+    const bool lengthen = 2 * L <= nIdx;
+    const std::size_t prev_len = lambda_len;
+    if (lengthen) prev = lambda;
+    // lambda = lambda - (d / bdisc) x^m b
+    const std::uint32_t coef = field_.div(d, bdisc);
+    lambda_len = std::max(lambda_len, b_len + m);
+    for (std::size_t i = 0; i < b_len; ++i) {
+      lambda[i + m] ^= field_.mul(coef, b[i]);
+    }
+    if (lengthen) {
       L = nIdx + 1 - L;
-      b = std::move(tpoly);
+      b = prev;
+      b_len = prev_len;
       bdisc = d;
       m = 1;
     } else {
-      const std::uint32_t coef = field_.div(d, bdisc);
-      if (lambda.size() < b.size() + m) lambda.resize(b.size() + m, 0);
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        lambda[i + m] ^= field_.mul(coef, b[i]);
-      }
       ++m;
     }
   }
-  while (!lambda.empty() && lambda.back() == 0) lambda.pop_back();
-  const int deg = static_cast<int>(lambda.size()) - 1;
-  if (deg <= 0 || deg > t_) {
-    return {DecodeStatus::kUncorrectable, 0};
-  }
+  while (lambda_len > 0 && lambda[lambda_len - 1] == 0) --lambda_len;
+  const int deg = static_cast<int>(lambda_len) - 1;
+  if (deg <= 0 || deg > t_) return kUncorrectable;
 
-  // Chien search over the shortened positions. Bit index i corresponds to
-  // polynomial degree n-1-i; a root Lambda(alpha^{-d_pos}) == 0 marks that
-  // degree as faulty. Incremental form: term c holds lambda_c·x_i^c, and
-  // stepping i -> i+1 multiplies x by alpha, i.e. term c by alpha^c — one
-  // field multiply per term per position, no exponentiations in the loop.
-  std::vector<std::size_t> error_idx;
-  std::vector<std::uint32_t> terms(lambda.size());
-  std::vector<std::uint32_t> steps(lambda.size());
-  const std::uint32_t x0 = field_.alpha_pow(
-      (field_.order() - (n_ - 1) % field_.order()) % field_.order());
-  for (std::size_t c = 0; c < lambda.size(); ++c) {
-    terms[c] = field_.mul(lambda[c], field_.pow(x0, c));
-    steps[c] = field_.alpha_pow(c);
-  }
-  for (std::size_t i = 0; i < n_; ++i) {
-    std::uint32_t acc = 0;
-    for (const auto term : terms) acc ^= term;
-    if (acc == 0) {
-      error_idx.push_back(i);
-      if (static_cast<int>(error_idx.size()) > deg) break;
+  // Roots. Bit index i corresponds to polynomial degree n-1-i and to the
+  // Chien point x_i = alpha^(i-(n-1)); a root Lambda(x_i) == 0 marks bit i
+  // as faulty. n <= 2^m - 1 makes the points distinct, so a degree-d
+  // locator has at most d roots among them, and the pattern is correctable
+  // iff exactly d of its roots land at i < n. A double root (Lambda' = 0)
+  // is one point and never correctable. Lambda_0 == 1: BM only updates
+  // coefficients from x^1 up.
+  std::array<std::size_t, kMaxT> error_idx{};
+  if (deg == 1) {
+    error_idx[0] = root_position(field_.div(lambda[0], lambda[1]));
+    if (error_idx[0] >= n_) return kUncorrectable;
+  } else if (deg == 2) {
+    // x = (l1/l2)·y turns l2x² + l1x + l0 into y² + y = c, c = l0·l2/l1².
+    // l1 == 0 is a double root. Solutions come in pairs y, y + 1; c != 0,
+    // so neither maps to x = 0.
+    if (lambda[1] == 0) return kUncorrectable;
+    const std::uint32_t scale = field_.div(lambda[1], lambda[2]);
+    const std::uint32_t c = field_.div(field_.mul(lambda[0], lambda[2]),
+                                       field_.mul(lambda[1], lambda[1]));
+    std::uint32_t y = 0;
+    for (std::uint32_t bits = c; bits != 0; bits &= bits - 1) {
+      y ^= quad_solve_[std::countr_zero(bits)];
     }
-    for (std::size_t c = 1; c < terms.size(); ++c) {
-      terms[c] = field_.mul(terms[c], steps[c]);
+    if ((field_.mul(y, y) ^ y) != c) return kUncorrectable;  // no root in the field
+    const std::uint32_t x = field_.mul(scale, y);
+    error_idx[0] = root_position(x);
+    error_idx[1] = root_position(x ^ scale);
+    if (error_idx[0] >= n_ || error_idx[1] >= n_) return kUncorrectable;
+  } else {
+    // Chien search, incremental: term c holds lambda_c·x_i^c, and stepping
+    // i -> i+1 multiplies term c by alpha^c. Stops at the deg-th root.
+    std::array<std::uint32_t, kMaxT + 1> terms{};
+    std::array<std::uint32_t, kMaxT + 1> steps{};
+    const std::uint32_t x0 = field_.alpha_pow(
+        (field_.order() - (n_ - 1) % field_.order()) % field_.order());
+    for (int c = 0; c <= deg; ++c) {
+      terms[c] = field_.mul(lambda[c], field_.pow(x0, c));
+      steps[c] = field_.alpha_pow(c);
     }
+    int found = 0;
+    for (std::size_t i = 0; i < n_ && found < deg; ++i) {
+      std::uint32_t acc = 0;
+      for (int c = 0; c <= deg; ++c) acc ^= terms[c];
+      if (acc == 0) error_idx[found++] = i;
+      for (int c = 1; c <= deg; ++c) terms[c] = field_.mul(terms[c], steps[c]);
+    }
+    // Fewer roots in range: the pattern exceeded the code's correction
+    // power and was detected.
+    if (found != deg) return kUncorrectable;
   }
-  if (static_cast<int>(error_idx.size()) != deg) {
-    // Locator roots outside the shortened range, or wrong multiplicity:
-    // the pattern exceeded the code's correction power and was detected.
-    return {DecodeStatus::kUncorrectable, 0};
-  }
-  for (const auto i : error_idx) codeword.flip(i);
+  for (int e = 0; e < deg; ++e) codeword.flip(error_idx[e]);
   return {DecodeStatus::kCorrected, deg};
 }
 

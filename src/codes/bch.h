@@ -3,12 +3,18 @@
 // bits (m = 10, n = 1023 shortened), e.g. the 60-bit ECC-6 of §II-D, and
 // ECC-6 over 1 KB (m = 14) for the Hi-ECC comparison.
 //
-// Decoder: power-sum syndromes, Berlekamp–Massey error locator,
-// Chien search. More than t faults either raise a detected decode failure
-// or (rarely) miscorrect — both behaviours are faithfully exposed, since
-// the reliability analysis depends on them.
+// Encoder: byte-at-a-time table LFSR over a reflected remainder held in
+// two 64-bit words (deg g = r <= 96), bit-serial for the last k mod 8
+// message bits.
+// Decoder: power-sum syndromes, Berlekamp–Massey error locator, then the
+// locator's roots — closed form for degree 1 and 2 (a GF(2)-linear solve
+// of y² + y = c), a Chien search that stops at the deg-th root otherwise.
+// More than t faults either raise a detected decode failure or (rarely)
+// miscorrect — both behaviours are faithfully exposed, since the
+// reliability analysis depends on them. docs/perf.md has the derivations.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -23,8 +29,14 @@ namespace sudoku {
 
 class Bch {
  public:
+  // Capacity of the bit-sliced syndrome accumulator, in words (t·m): sized
+  // for the largest frontier design, t = 6 over GF(2^16).
+  static constexpr std::size_t kMaxSyndromeWords = 6 * 16;
+
   // Code over GF(2^m) correcting up to t errors, shortened to carry
-  // `message_bits` of payload. Requires message_bits + parity <= 2^m - 1.
+  // `message_bits` of payload. Throws std::invalid_argument unless
+  // t >= 1, 3 <= m <= 16, t·m <= kMaxSyndromeWords and
+  // message_bits + parity <= 2^m - 1.
   Bch(int m, int t, std::size_t message_bits);
 
   int t() const { return t_; }
@@ -90,10 +102,19 @@ class Bch {
   std::size_t r_;  // parity bits (deg g)
   std::size_t n_;  // k + r
   GF2m field_;
-  // Generator polynomial coefficients, index = degree (gen_[r_] == 1).
-  // Byte-per-coefficient keeps the LFSR division simple; degree can exceed
-  // 63 (e.g. 84 for Hi-ECC's ECC-6 over 1 KB).
-  std::vector<std::uint8_t> gen_;
+
+  // Encoder LFSR state: the remainder reflected, bit j = coefficient of
+  // x^(r-1-j) (the parity bit stored at k_+j), over two words since
+  // r = deg g can exceed 63 (84 for Hi-ECC's ECC-6 over 1 KB, 96 at most).
+  using Remainder = std::array<std::uint64_t, 2>;
+  Remainder gen_reflected_{};           // g(x) - x^r, reflected
+  std::vector<Remainder> enc_table_;    // 256 entries: 8 message bits at once
+  void encode_bit(Remainder& rem, std::uint32_t bit) const;
+
+  // Degree-2 locator solve: y² + y is GF(2)-linear with kernel {0, 1}, so a
+  // root of y² + y = c (when one exists) is the XOR of quad_solve_[b] over
+  // the set bits b of c.
+  std::array<std::uint32_t, 16> quad_solve_{};
 
   // Word-level syndrome tables, built once per code. For syndrome j
   // (1-based), row j-1 of syn_weights_ holds alpha^(j·(63-k)) for word-bit
@@ -120,9 +141,15 @@ class Bch {
 
   std::uint32_t syndrome_one(const BitVec& codeword, int j0) const;
 
-  // BM + Chien shared by decode() and decode_with_syndromes().
+  // BM + root finding shared by decode() and decode_with_syndromes().
   DecodeResult locate_and_correct(BitVec& codeword,
                                   std::span<const std::uint32_t> s) const;
+
+  // Codeword bit index whose Chien point alpha^(i-(n-1)) is `root` (!= 0);
+  // >= n_ when the root falls outside the shortened code.
+  std::size_t root_position(std::uint32_t root) const {
+    return (field_.log(root) + n_ - 1) % field_.order();
+  }
 
   // Bit-slice program, built lazily on first batch call (the Hi-ECC
   // geometry's program is ~0.7 MB — per-line users never pay for it).

@@ -20,15 +20,17 @@ class GF2m {
 
   std::uint32_t add(std::uint32_t a, std::uint32_t b) const { return a ^ b; }
 
+  // Both logs are < order(), so their sum (or difference plus order())
+  // is < 2·order() and one conditional subtract reduces it — no divide.
   std::uint32_t mul(std::uint32_t a, std::uint32_t b) const {
     if (a == 0 || b == 0) return 0;
-    return alog_[(log_[a] + log_[b]) % order()];
+    return alog_[reduce(log_[a] + log_[b])];
   }
 
   std::uint32_t div(std::uint32_t a, std::uint32_t b) const {
     // b must be nonzero.
     if (a == 0) return 0;
-    return alog_[(log_[a] + order() - log_[b]) % order()];
+    return alog_[reduce(log_[a] + order() - log_[b])];
   }
 
   std::uint32_t inv(std::uint32_t a) const {
@@ -46,6 +48,10 @@ class GF2m {
   std::uint32_t log(std::uint32_t a) const { return log_[a]; }  // a != 0
 
  private:
+  std::uint32_t reduce(std::uint32_t e) const {
+    return e >= order() ? e - order() : e;
+  }
+
   int m_;
   std::uint32_t q_;
   std::vector<std::uint32_t> log_;

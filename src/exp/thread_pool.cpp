@@ -137,28 +137,29 @@ void ThreadPool::wait_idle() {
 void ThreadPool::parallel_for(std::uint64_t n,
                               const std::function<void(std::uint64_t)>& fn) {
   if (n == 0) return;
-  std::atomic<std::uint64_t> remaining{n};
+  // `remaining` is only touched under done_mutex, so the last task is done
+  // with these stack locals before the caller can see zero, return and
+  // destroy them. A decrement outside the lock would let the caller return
+  // between it and the notify, leaving the task to lock a dead mutex.
+  std::uint64_t remaining = n;
   std::mutex done_mutex;
   std::condition_variable done_cv;
   std::exception_ptr first_error;
   for (std::uint64_t i = 0; i < n; ++i) {
     submit([&, i] {
+      std::exception_ptr error;
       try {
         fn(i);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        if (!first_error) first_error = std::current_exception();
+        error = std::current_exception();
       }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        done_cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(done_mutex);
+      if (error && !first_error) first_error = std::move(error);
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] {
-    return remaining.load(std::memory_order_acquire) == 0;
-  });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   // Every index has run; surface the first failure (completion order) to
   // the caller now that joining is done.
   if (first_error) std::rethrow_exception(first_error);

@@ -19,11 +19,14 @@
 #include <set>
 #include <vector>
 
+#include "baselines/batch_scrub.h"
 #include "codes/batch_codec.h"
 #include "codes/bch.h"
 #include "codes/crc31.h"
+#include "codes/ecc_design.h"
 #include "codes/hamming.h"
 #include "common/rng.h"
+#include "sttram/array.h"
 #include "sudoku/line_codec.h"
 
 namespace sudoku {
@@ -283,6 +286,62 @@ TEST(BatchCodec, HiEccWidthBatchSyndromesMatchOracle) {
       ASSERT_EQ(a.status, b.status) << "seed " << seed;
       ASSERT_EQ(via_decode, via_syndromes) << "seed " << seed;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Batched scrub at the accumulator's capacity: 4KB-t6 is GF(2^16) with
+// t·m = 96 accumulator words, the largest design the frontier sweeps.
+// ---------------------------------------------------------------------------
+
+TEST(BatchCodec, BatchScrubOfFourKbT6RegionsMatchesPerRegionDecode) {
+  const Bch bch = make_bch(make_ecc_design(4096, 6));
+  ASSERT_EQ(static_cast<std::size_t>(bch.t()) * 16, Bch::kMaxSyndromeWords);
+  constexpr std::uint64_t kSeed = kBaseSeed + 96;
+  constexpr std::size_t kRegions = 14;  // >= min_batch: the batched path
+  const auto n = static_cast<std::uint32_t>(bch.codeword_bits());
+  SttramArray batched(kRegions, n);
+  SttramArray per_region(kRegions, n);
+  Rng rng(kSeed);
+  for (std::size_t r = 0; r < kRegions; ++r) {
+    BitVec cw = random_bits(n, rng);
+    bch.encode(cw);
+    // Weights 1..t+2: corrected, detected and (rarely) miscorrected.
+    const int weight = 1 + static_cast<int>(r % (bch.t() + 2));
+    std::set<std::uint64_t> flips;
+    while (static_cast<int>(flips.size()) < weight) flips.insert(rng.next_below(n));
+    for (const auto bit : flips) cw.flip(bit);
+    batched.write_line(r, cw);
+    per_region.write_line(r, cw);
+  }
+  std::vector<std::uint64_t> units(kRegions);
+  for (std::size_t r = 0; r < kRegions; ++r) units[r] = r;
+
+  const auto stats =
+      baselines::batch_scrub_bch(bch, batched, units, /*min_batch=*/12);
+
+  std::uint64_t corrected = 0;
+  std::vector<std::uint64_t> due;
+  for (const auto r : units) {
+    BitVec cw = per_region.read_line(r);
+    switch (bch.decode(cw).status) {
+      case Bch::DecodeStatus::kClean:
+        break;
+      case Bch::DecodeStatus::kCorrected:
+        per_region.write_line(r, cw);
+        ++corrected;
+        break;
+      case Bch::DecodeStatus::kUncorrectable:
+        due.push_back(r);
+        break;
+    }
+  }
+  EXPECT_EQ(stats.corrected, corrected) << "seed " << kSeed;
+  EXPECT_EQ(stats.due_units, due.size()) << "seed " << kSeed;
+  EXPECT_EQ(stats.due_unit_ids, due) << "seed " << kSeed;
+  for (const auto r : units) {
+    ASSERT_EQ(batched.read_line(r), per_region.read_line(r))
+        << "seed " << kSeed << " region " << r;
   }
 }
 

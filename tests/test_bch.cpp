@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "common/rng.h"
 
@@ -142,6 +143,22 @@ TEST(Bch, EncodeIsSystematic) {
     }
   bch.encode(cw);
   for (int i = 0; i < 512; ++i) EXPECT_EQ(cw.test(i), msg.test(i));
+}
+
+TEST(Bch, ConstructorRejectsInvalidArgumentsInEveryBuildType) {
+  EXPECT_THROW(Bch(10, 0, 512), std::invalid_argument);   // t < 1
+  EXPECT_THROW(Bch(10, -1, 512), std::invalid_argument);
+  EXPECT_THROW(Bch(2, 1, 1), std::invalid_argument);      // m < 3
+  EXPECT_THROW(Bch(17, 1, 512), std::invalid_argument);   // m > 16
+  EXPECT_THROW(Bch(10, 10, 512), std::invalid_argument);  // t·m = 100 > 96
+  EXPECT_THROW(Bch(10, 4, 984), std::invalid_argument);   // 984 + 40 > 1023
+  EXPECT_THROW(Bch(16, 6, 65536), std::invalid_argument);
+}
+
+TEST(Bch, ConstructorAcceptsTheLimits) {
+  EXPECT_EQ(Bch(10, 4, 983).codeword_bits(), 1023u);  // natural length
+  EXPECT_EQ(Bch(16, 6, 32768).parity_bits(), Bch::kMaxSyndromeWords);
+  EXPECT_EQ(Bch(3, 1, 4).codeword_bits(), 7u);  // Hamming(7,4)
 }
 
 TEST(Bch, AllZeroMessageEncodesToAllZero) {

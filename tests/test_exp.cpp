@@ -133,6 +133,22 @@ TEST(ThreadPool, ParallelForCoversEachIndexOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPool, BackToBackTinyParallelForsAllReturnAndJoin) {
+  // Tiny bodies finish while the caller is still on its way into the
+  // wait: the last task must be done with parallel_for's stack state
+  // before the caller may return. Every pool must also join cleanly.
+  std::uint64_t total = 0;
+  for (int round = 0; round < 20; ++round) {
+    ThreadPool pool(2);
+    std::atomic<std::uint64_t> ran{0};
+    for (int i = 0; i < 1000; ++i) {
+      pool.parallel_for(1 + i % 3, [&](std::uint64_t) { ran.fetch_add(1); });
+    }
+    total += ran.load();
+  }
+  EXPECT_EQ(total, 20u * (334 * 1 + 333 * 2 + 333 * 3));
+}
+
 TEST(ThreadPool, NestedSubmitFromWorker) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
