@@ -39,6 +39,11 @@ BaselineMcResult run_baseline_mc(CacheScheme& scheme, const BaselineMcConfig& co
     golden.write_line(u, scheme.array().read_line(u));
   }
 
+  // Scratch for golden units: the compares below run per touched unit per
+  // interval and must not allocate.
+  BitVec want(scheme.bits_per_unit());
+  BitVec got(scheme.bits_per_unit());
+
   FaultInjector injector(scheme.num_units(), scheme.bits_per_unit(), config.ber);
   BaselineMcResult result;
   obs::Counter* m_intervals = nullptr;
@@ -122,9 +127,10 @@ BaselineMcResult run_baseline_mc(CacheScheme& scheme, const BaselineMcConfig& co
                                                   stats.due_unit_ids.end());
       for (const auto unit : touched) {
         if (due.count(unit)) continue;
-        if (scheme.array().line_equals(unit, golden.read_line(unit))) continue;
-        if (!stuck.equal_outside_stuck(unit, scheme.array().read_line(unit),
-                                       golden.read_line(unit))) {
+        golden.read_line(unit, want);
+        if (scheme.array().line_equals(unit, want)) continue;
+        scheme.array().read_line(unit, got);
+        if (!stuck.equal_outside_stuck(unit, got, want)) {
           ++result.sdc_units;
           OBS_INC(m_sdc);
           failed = true;
@@ -133,9 +139,8 @@ BaselineMcResult run_baseline_mc(CacheScheme& scheme, const BaselineMcConfig& co
       // Canonical-state restore (stuck bits included — they will be
       // re-asserted from the scenario at the next interval).
       for (const auto unit : touched) {
-        if (!scheme.array().line_equals(unit, golden.read_line(unit))) {
-          scheme.restore_unit(unit, golden.read_line(unit));
-        }
+        golden.read_line(unit, want);
+        if (!scheme.array().line_equals(unit, want)) scheme.restore_unit(unit, want);
       }
 
       if (failed) {
@@ -172,15 +177,17 @@ BaselineMcResult run_baseline_mc(CacheScheme& scheme, const BaselineMcConfig& co
                                                 stats.due_unit_ids.end());
     for (const auto unit : touched) {
       if (due.count(unit)) continue;
-      if (!scheme.array().line_equals(unit, golden.read_line(unit))) {
+      golden.read_line(unit, want);
+      if (!scheme.array().line_equals(unit, want)) {
         ++result.sdc_units;
         OBS_INC(m_sdc);
         failed = true;
-        scheme.restore_unit(unit, golden.read_line(unit));
+        scheme.restore_unit(unit, want);
       }
     }
     for (const auto unit : stats.due_unit_ids) {
-      scheme.restore_unit(unit, golden.read_line(unit));
+      golden.read_line(unit, want);
+      scheme.restore_unit(unit, want);
     }
 
     if (failed) {

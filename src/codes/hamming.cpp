@@ -150,11 +150,10 @@ std::uint32_t Hamming::syndrome_reference(const BitVec& codeword) const {
 Hamming::DecodeStatus Hamming::decode(BitVec& codeword) const {
   const std::uint32_t syn = syndrome(codeword);
   if (syn == 0) return DecodeStatus::kClean;
-  if (syn <= n_ && pos_to_index_plus1_[syn] != 0) {
-    codeword.flip(pos_to_index_plus1_[syn] - 1);
-    return DecodeStatus::kCorrected;
-  }
-  return DecodeStatus::kUncorrectable;
+  const std::size_t idx = error_index(syn);
+  if (idx == n_) return DecodeStatus::kUncorrectable;
+  codeword.flip(idx);
+  return DecodeStatus::kCorrected;
 }
 
 }  // namespace sudoku

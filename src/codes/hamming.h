@@ -53,6 +53,14 @@ class Hamming {
   // Attempt single-error correction in place.
   DecodeStatus decode(BitVec& codeword) const;
 
+  // Codeword index of the single-bit error that has syndrome `syn` (a
+  // nonzero syndrome), or codeword_bits() when `syn` names no valid
+  // position. Flipping that bit zeroes the syndrome.
+  std::size_t error_index(std::uint32_t syn) const {
+    return syn <= n_ && pos_to_index_plus1_[syn] != 0 ? pos_to_index_plus1_[syn] - 1
+                                                       : n_;
+  }
+
   // --- bit-sliced batch kernels (the BatchCodec engine, docs/perf.md) ---
   // Syndromes of a whole transposed batch at once: `out` receives
   // planes.count() entries, entry L identical to syndrome() of the

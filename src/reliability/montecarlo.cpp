@@ -58,15 +58,13 @@ McResult run_montecarlo(const McConfig& config) {
   Rng rng(config.per_trial_seed_streams
               ? Rng::derive_stream_seed(config.seed, kFormatStream)
               : config.seed);
+  ctrl.format_random(rng);
   // Golden copy of every stored codeword for SDC detection and refill.
-  SttramArray golden(config.cache.num_lines, ctrl.codec().total_bits());
-  ctrl.format([&](std::uint64_t line) {
-    BitVec data(LineCodec::kDataBits);
-    auto w = data.words();
-    for (auto& word : w) word = rng.next_u64();
-    golden.write_line(line, ctrl.codec().encode(data));
-    return data;
-  });
+  SttramArray golden = ctrl.array();
+  // Scratch for golden lines: the compares below run per touched line per
+  // interval and must not allocate.
+  BitVec want(ctrl.codec().total_bits());
+  BitVec got(ctrl.codec().total_bits());
 
   FaultInjector injector(config.cache.num_lines, ctrl.codec().total_bits(),
                          config.cache.ber);
@@ -112,7 +110,6 @@ McResult run_montecarlo(const McConfig& config) {
   }
 #endif
   std::vector<std::uint64_t> touched;
-  std::vector<std::uint64_t> dirty;
   for (std::uint64_t interval = 0; interval < config.max_intervals; ++interval) {
     if (config.stop_hook && config.stop_hook()) break;
     if (config.per_trial_seed_streams) {
@@ -164,9 +161,10 @@ McResult run_montecarlo(const McConfig& config) {
       if (config.verify_against_golden) {
         for (const auto line : touched) {
           if (is_due(line)) continue;
-          if (ctrl.array().line_equals(line, golden.read_line(line))) continue;
-          if (!stuck.equal_outside_stuck(line, ctrl.array().read_line(line),
-                                         golden.read_line(line))) {
+          golden.read_line(line, want);
+          if (ctrl.array().line_equals(line, want)) continue;
+          ctrl.array().read_line(line, got);
+          if (!stuck.equal_outside_stuck(line, got, want)) {
             ++result.sdc_lines;
             OBS_INC(m_sdc);
             interval_failed = true;
@@ -177,14 +175,12 @@ McResult run_montecarlo(const McConfig& config) {
       // with consistent parities, so interval t depends only on its own
       // seed streams — the shard-split reproducibility contract. (The
       // restore also models the refill of DUE lines from the next level.)
-      dirty.clear();
+      // Parity needs no rebuild: repairs only read the PLTs and write_data
+      // never runs here, so they still hold the XOR of the golden lines.
       for (const auto line : touched) {
-        if (!ctrl.array().line_equals(line, golden.read_line(line))) {
-          ctrl.array().write_line(line, golden.read_line(line));
-          dirty.push_back(line);
-        }
+        golden.read_line(line, want);
+        if (!ctrl.array().line_equals(line, want)) ctrl.array().write_line(line, want);
       }
-      ctrl.rebuild_parities_for(dirty);
 
       if (interval_failed) {
         ++result.failure_intervals;
@@ -223,7 +219,8 @@ McResult run_montecarlo(const McConfig& config) {
       auto words = data.words();
       for (auto& word : words) word = rng.next_u64();
       ctrl.write_data(line, data);
-      golden.write_line(line, ctrl.codec().encode(data));
+      ctrl.array().read_line(line, want);
+      golden.write_line(line, want);
       const std::uint64_t nflips =
           rng.next_binomial(ctrl.codec().total_bits(), config.wer);
       for (std::uint64_t f = 0; f < nflips; ++f) {
@@ -252,19 +249,21 @@ McResult run_montecarlo(const McConfig& config) {
     if (config.verify_against_golden) {
       for (const auto line : touched) {
         if (is_due(line)) continue;  // already accounted as DUE
-        if (!ctrl.array().line_equals(line, golden.read_line(line))) {
+        golden.read_line(line, want);
+        if (!ctrl.array().line_equals(line, want)) {
           ++result.sdc_lines;
           OBS_INC(m_sdc);
           interval_failed = true;
           // Heal silently-corrupted state so later intervals stay valid.
-          ctrl.array().write_line(line, golden.read_line(line));
+          ctrl.array().write_line(line, want);
         }
       }
     }
     // Refill DUE lines from golden (models a refill/invalna-refetch) and
     // resynchronise parity via the write path.
     for (const auto line : stats.due_line_ids) {
-      ctrl.write_data(line, ctrl.codec().extract_data(golden.read_line(line)));
+      golden.read_line(line, want);
+      ctrl.write_data(line, ctrl.codec().extract_data(want));
     }
 
     if (interval_failed) {

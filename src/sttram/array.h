@@ -11,6 +11,16 @@
 // 64-bit loads/stores compile to the same plain movs as before on every
 // target we build for, so the single-threaded simulator paths keep their
 // exact behaviour and cost.
+//
+// Each line also carries a verified-clean bit (docs/perf.md, "Verified-clean
+// lines"). Every mutation — flip() and write_line() — clears it; only the
+// SuDoku controller sets it, via mark_verified(), right after it has checked
+// the line's current content or written a codeword it just encoded or
+// validated. So verified(line) implies the line passes the full CRC + inner
+// ECC check, and a scrub or repair may skip it. The bits are plain (not
+// atomic): they are only touched under the exclusive access that already
+// guards a mutation of the line words, and the service's lock-free read
+// probe never reads them.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +36,8 @@ class SttramArray {
       : num_lines_(num_lines),
         bits_per_line_(bits_per_line),
         words_per_line_((bits_per_line + 63) / 64),
-        words_(num_lines * words_per_line_, 0) {}
+        words_(num_lines * words_per_line_, 0),
+        verified_((num_lines + 63) / 64, 0) {}
 
   std::uint64_t num_lines() const { return num_lines_; }
   std::uint32_t bits_per_line() const { return bits_per_line_; }
@@ -37,6 +48,14 @@ class SttramArray {
   void flip(std::uint64_t line, std::uint32_t bit) {
     const std::uint64_t i = line * words_per_line_ + (bit >> 6);
     store_word(i, load_word(i) ^ (std::uint64_t{1} << (bit & 63)));
+    clear_verified(line);
+  }
+
+  bool verified(std::uint64_t line) const {
+    return (verified_[line >> 6] >> (line & 63)) & 1u;
+  }
+  void mark_verified(std::uint64_t line) {
+    verified_[line >> 6] |= std::uint64_t{1} << (line & 63);
   }
 
   // Copy a stored line out into a BitVec sized bits_per_line().
@@ -58,6 +77,7 @@ class SttramArray {
     auto w = in.words();
     const std::uint64_t base = line * words_per_line_;
     for (std::uint32_t i = 0; i < words_per_line_; ++i) store_word(base + i, w[i]);
+    clear_verified(line);
   }
 
   // XOR a stored line into an accumulator (used for parity computation).
@@ -82,7 +102,11 @@ class SttramArray {
   std::uint32_t bits_per_line_;
   std::uint32_t words_per_line_;
   std::vector<std::uint64_t> words_;
+  std::vector<std::uint64_t> verified_;  // one bit per line
 
+  void clear_verified(std::uint64_t line) {
+    verified_[line >> 6] &= ~(std::uint64_t{1} << (line & 63));
+  }
   std::uint64_t load_word(std::uint64_t i) const {
     return __atomic_load_n(&words_[i], __ATOMIC_RELAXED);
   }

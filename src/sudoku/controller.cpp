@@ -109,6 +109,7 @@ std::vector<std::uint64_t> SudokuController::group_members(std::uint64_t group,
 void SudokuController::format(const std::function<BitVec(std::uint64_t)>& make_data) {
   for (std::uint64_t line = 0; line < config_.geo.num_lines; ++line) {
     array_.write_line(line, codec_.encode(make_data(line)));
+    array_.mark_verified(line);
   }
   rebuild_parities();
 }
@@ -126,42 +127,38 @@ void SudokuController::format_random(Rng& rng) {
   });
 }
 
+void SudokuController::rebuild_parity(int which_hash, std::uint64_t group, BitVec& acc) {
+  acc.clear();
+  for (const auto line : group_members(group, which_hash)) array_.xor_line_into(line, acc);
+  plt(which_hash).write(group, acc);
+}
+
 void SudokuController::rebuild_parities() {
-  const std::uint32_t width = codec_.total_bits();
-  BitVec acc(width);
-  for (std::uint64_t g = 0; g < config_.geo.num_groups(); ++g) {
-    acc.clear();
-    for (const auto line : hash_.members1(g)) array_.xor_line_into(line, acc);
-    plt1_.write(g, acc);
-  }
-  if (plt2_) {
-    for (std::uint64_t g = 0; g < config_.geo.num_groups(); ++g) {
-      acc.clear();
-      for (const auto line : hash_.members2(g)) array_.xor_line_into(line, acc);
-      plt2_->write(g, acc);
-    }
+  BitVec acc(codec_.total_bits());
+  for (int h = 1; h <= (plt2_ ? 2 : 1); ++h) {
+    for (std::uint64_t g = 0; g < config_.geo.num_groups(); ++g) rebuild_parity(h, g, acc);
   }
 }
 
 void SudokuController::write_data(std::uint64_t line, const BitVec& data) {
   // First read-modify-write: the data line. The old value participates in
   // the parity delta, so it must be a consistent codeword — correct it
-  // first; if it is beyond ECC-1, run the group repair machinery.
+  // first (a verified line already is); if it is beyond ECC-1, run the
+  // group repair machinery.
   BitVec old = array_.read_line(line);
-  if (codec_.check_and_correct(old) == LineCodec::LineState::kUncorrectable) {
+  bool old_consistent = true;
+  if (!array_.verified(line) &&
+      codec_.check_and_correct(old) == LineCodec::LineState::kUncorrectable) {
     ScrubStats scratch;
-    if (config_.level == SudokuLevel::kZ) {
-      repair_group_skewed(hash_.group1(line), scratch);
-    } else {
-      repair_group(hash_.group1(line), 1, scratch);
-    }
+    repair_hash1_group(hash_.group1(line), scratch);
     old = array_.read_line(line);
     // If the old line is still broken its data is already lost; the write
     // overwrites it, and we must resynchronise parity the hard way below.
+    old_consistent = codec_.fully_clean(old);
   }
   const BitVec fresh = codec_.encode(data);
-  const bool old_consistent = codec_.fully_clean(old);
   array_.write_line(line, fresh);
+  array_.mark_verified(line);
   if (old_consistent) {
     // Second read-modify-write: PLT delta update (paper §III-B).
     BitVec delta = old;
@@ -171,38 +168,31 @@ void SudokuController::write_data(std::uint64_t line, const BitVec& data) {
   } else {
     // Rare fallback: rebuild the parities of the affected groups from the
     // stored lines.
-    const std::uint32_t width = codec_.total_bits();
-    BitVec acc(width);
-    for (const auto l : hash_.members1(hash_.group1(line))) array_.xor_line_into(l, acc);
-    plt1_.write(hash_.group1(line), acc);
-    if (plt2_) {
-      acc.clear();
-      for (const auto l : hash_.members2(hash_.group2(line))) array_.xor_line_into(l, acc);
-      plt2_->write(hash_.group2(line), acc);
-    }
+    rebuild_parities_for({&line, 1});
   }
 }
 
 SudokuController::ReadResult SudokuController::read_data(std::uint64_t line) {
   BitVec stored = array_.read_line(line);
+  if (array_.verified(line)) {
+    OBS_INC(obs_.read_clean);
+    return {codec_.extract_data(stored), ReadOutcome::kClean};
+  }
   switch (codec_.check_and_correct(stored)) {
     case LineCodec::LineState::kClean:
+      array_.mark_verified(line);
       OBS_INC(obs_.read_clean);
       return {codec_.extract_data(stored), ReadOutcome::kClean};
     case LineCodec::LineState::kCorrected:
       array_.write_line(line, stored);  // scrub-on-read of the fixed bit
+      array_.mark_verified(line);
       OBS_INC(obs_.read_corrected);
       return {codec_.extract_data(stored), ReadOutcome::kCorrected};
     case LineCodec::LineState::kUncorrectable:
       break;
   }
   ScrubStats scratch;
-  std::vector<std::uint64_t> losers;
-  if (config_.level == SudokuLevel::kZ) {
-    losers = repair_group_skewed(hash_.group1(line), scratch);
-  } else {
-    losers = repair_group(hash_.group1(line), 1, scratch);
-  }
+  const auto losers = repair_hash1_group(hash_.group1(line), scratch);
   if (std::find(losers.begin(), losers.end(), line) != losers.end()) {
     OBS_INC(obs_.read_due);
     return {BitVec(LineCodec::kDataBits), ReadOutcome::kDue};
@@ -210,6 +200,22 @@ SudokuController::ReadResult SudokuController::read_data(std::uint64_t line) {
   stored = array_.read_line(line);
   OBS_INC(obs_.read_repaired);
   return {codec_.extract_data(stored), ReadOutcome::kRepaired};
+}
+
+LineCodec::LineState SudokuController::check_line(std::uint64_t line, BitVec& stored,
+                                                  ScrubStats& stats) {
+  if (array_.verified(line)) return LineCodec::LineState::kClean;
+  array_.read_line(line, stored);
+  const auto state = codec_.check_and_correct(stored);
+  if (state == LineCodec::LineState::kUncorrectable) return state;
+  if (state == LineCodec::LineState::kCorrected) {
+    array_.write_line(line, stored);
+    ++stats.ecc1_corrections;
+    stats.repaired_line_ids.push_back(line);
+    OBS_INC(obs_.repair_ecc1);
+  }
+  array_.mark_verified(line);
+  return state;
 }
 
 bool SudokuController::raid4_reconstruct(std::uint64_t group, int which_hash,
@@ -222,6 +228,7 @@ bool SudokuController::raid4_reconstruct(std::uint64_t group, int which_hash,
   }
   if (!codec_.fully_clean(acc)) return false;
   array_.write_line(victim, acc);
+  array_.mark_verified(victim);
   ++stats.raid4_repairs;
   stats.repaired_line_ids.push_back(victim);
   OBS_INC(obs_.repair_raid4);
@@ -237,19 +244,8 @@ std::vector<std::uint64_t> SudokuController::repair_group(std::uint64_t group,
   std::vector<std::uint64_t> bad;
   BitVec stored(codec_.total_bits());
   for (const auto line : members) {
-    array_.read_line(line, stored);
-    switch (codec_.check_and_correct(stored)) {
-      case LineCodec::LineState::kClean:
-        break;
-      case LineCodec::LineState::kCorrected:
-        array_.write_line(line, stored);
-        ++stats.ecc1_corrections;
-        stats.repaired_line_ids.push_back(line);
-        OBS_INC(obs_.repair_ecc1);
-        break;
-      case LineCodec::LineState::kUncorrectable:
-        bad.push_back(line);
-        break;
+    if (check_line(line, stored, stats) == LineCodec::LineState::kUncorrectable) {
+      bad.push_back(line);
     }
   }
   if (bad.empty()) return bad;
@@ -284,15 +280,17 @@ std::vector<std::uint64_t> SudokuController::repair_group(std::uint64_t group,
     if (positions.empty() || positions.size() > cap) break;
     OBS_OBSERVE(obs_.sdr_mismatch_bits, positions.size());
 
+    BitVec trial(codec_.total_bits());
     for (auto it = bad.begin(); it != bad.end() && !progress; ++it) {
-      BitVec trial(codec_.total_bits());
+      array_.read_line(*it, trial);
       for (const auto pos : positions) {
-        array_.read_line(*it, trial);
+        // check_and_correct leaves an uncorrectable line unmodified, so
+        // undoing the flip restores the stored value for the next try.
         trial.flip(pos);
         OBS_INC(obs_.repair_sdr_attempts);
-        if (codec_.check_and_correct(trial) != LineCodec::LineState::kUncorrectable &&
-            codec_.fully_clean(trial)) {
+        if (codec_.check_and_correct(trial) != LineCodec::LineState::kUncorrectable) {
           array_.write_line(*it, trial);
+          array_.mark_verified(*it);
           ++stats.sdr_repairs;
           stats.repaired_line_ids.push_back(*it);
           OBS_INC(obs_.repair_sdr);
@@ -300,6 +298,7 @@ std::vector<std::uint64_t> SudokuController::repair_group(std::uint64_t group,
           progress = true;  // mismatch positions changed; recompute
           break;
         }
+        trial.flip(pos);
       }
     }
   }
@@ -329,66 +328,33 @@ std::vector<std::uint64_t> SudokuController::repair_group_skewed(std::uint64_t g
   return bad;
 }
 
+std::vector<std::uint64_t> SudokuController::repair_hash1_group(std::uint64_t group1,
+                                                                ScrubStats& stats) {
+  return config_.level == SudokuLevel::kZ ? repair_group_skewed(group1, stats)
+                                          : repair_group(group1, 1, stats);
+}
+
 ScrubStats SudokuController::scrub_lines(std::span<const std::uint64_t> lines) {
   ScrubStats stats;
   stats.lines_scanned = lines.size();
   OBS_ADD(obs_.scrub_lines_scanned, lines.size());
 
-  // Fast path, batched (the BatchCodec engine, docs/perf.md): transpose
-  // up to 64 lines at a time and clean-check them bit-sliced; only
-  // inconsistent lines — rare at realistic BERs — take the per-line
-  // correction path, in input order, so outcomes are bit-identical to the
-  // old per-line sweep. Sub-break-even tails (and short dirty-line slices
-  // from the continuous scrubber) skip the transpose entirely. Groups
-  // that still contain an uncorrectable line go through the RAID
-  // machinery once each.
+  // Per-line fast path, in input order; verified lines are counted clean
+  // without being read. Groups that still contain an uncorrectable line go
+  // through the RAID machinery once each.
   std::unordered_set<std::uint64_t> pending_groups;
-  const auto correct_line = [&](std::uint64_t line, BitVec& stored) {
-    switch (codec_.correct_inconsistent(stored)) {
-      case LineCodec::LineState::kClean:  // unreachable: line is dirty
+  BitVec stored(codec_.total_bits());
+  for (const auto line : lines) {
+    switch (check_line(line, stored, stats)) {
+      case LineCodec::LineState::kClean:
+        ++stats.lines_clean;
+        OBS_INC(obs_.scrub_lines_clean);
+        break;
       case LineCodec::LineState::kCorrected:
-        array_.write_line(line, stored);
-        ++stats.ecc1_corrections;
-        stats.repaired_line_ids.push_back(line);
-        OBS_INC(obs_.repair_ecc1);
         break;
       case LineCodec::LineState::kUncorrectable:
         pending_groups.insert(hash_.group1(line));
         break;
-    }
-  };
-  BitVec stored(codec_.total_bits());
-  std::vector<BitVec> batch;
-  BitPlanes planes;
-  for (std::size_t base = 0; base < lines.size(); base += BitPlanes::kMaxLines) {
-    const std::size_t count =
-        std::min<std::size_t>(BitPlanes::kMaxLines, lines.size() - base);
-    if (count < LineCodec::kMinBatchLines) {
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::uint64_t line = lines[base + i];
-        array_.read_line(line, stored);
-        if (codec_.fully_clean(stored)) {
-          ++stats.lines_clean;
-          OBS_INC(obs_.scrub_lines_clean);
-        } else {
-          correct_line(line, stored);
-        }
-      }
-      continue;
-    }
-    if (batch.size() < count) batch.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      array_.read_line(lines[base + i], batch[i]);
-    }
-    const std::uint64_t clean =
-        codec_.fully_clean_batch({batch.data(), count}, planes);
-    for (std::size_t i = 0; i < count; ++i) {
-      if ((clean >> i) & 1u) {
-        ++stats.lines_clean;
-        OBS_INC(obs_.scrub_lines_clean);
-      } else {
-        correct_line(lines[base + i], batch[i]);
-      }
     }
   }
 
@@ -401,12 +367,7 @@ ScrubStats SudokuController::scrub_lines(std::span<const std::uint64_t> lines) {
   while (progress && !failing.empty()) {
     progress = false;
     for (auto it = failing.begin(); it != failing.end();) {
-      std::vector<std::uint64_t> losers;
-      if (config_.level == SudokuLevel::kZ) {
-        losers = repair_group_skewed(it->first, stats);
-      } else {
-        losers = repair_group(it->first, 1, stats);
-      }
+      const auto losers = repair_hash1_group(it->first, stats);
       if (losers.empty()) {
         it = failing.erase(it);
         progress = true;
@@ -419,13 +380,7 @@ ScrubStats SudokuController::scrub_lines(std::span<const std::uint64_t> lines) {
   }
   // Whatever still fails is a detectable uncorrectable error.
   for (const auto& [g, count] : failing) {
-    std::vector<std::uint64_t> losers;
-    if (config_.level == SudokuLevel::kZ) {
-      losers = repair_group_skewed(g, stats);
-    } else {
-      losers = repair_group(g, 1, stats);
-    }
-    for (const auto l : losers) {
+    for (const auto l : repair_hash1_group(g, stats)) {
       ++stats.due_lines;
       OBS_INC(obs_.repair_due_lines);
       stats.due_line_ids.push_back(l);
@@ -458,16 +413,8 @@ void SudokuController::rebuild_parities_for(std::span<const std::uint64_t> lines
   dedup(g1);
   dedup(g2);
   BitVec acc(codec_.total_bits());
-  for (const auto g : g1) {
-    acc.clear();
-    for (const auto line : hash_.members1(g)) array_.xor_line_into(line, acc);
-    plt1_.write(g, acc);
-  }
-  for (const auto g : g2) {
-    acc.clear();
-    for (const auto line : hash_.members2(g)) array_.xor_line_into(line, acc);
-    plt2_->write(g, acc);
-  }
+  for (const auto g : g1) rebuild_parity(1, g, acc);
+  for (const auto g : g2) rebuild_parity(2, g, acc);
 }
 
 bool SudokuController::parities_consistent() const {

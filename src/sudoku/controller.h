@@ -109,8 +109,11 @@ class SudokuController {
 
   // ---- scrubbing ----
   // Scrub only the given lines (sparse mode for fault-injection: untouched
-  // lines cannot have become inconsistent). Lines are de-duplicated by
-  // RAID-Group internally.
+  // lines cannot have become inconsistent). Each line gets one per-line
+  // check, in input order; a line whose verified-clean bit is set (see
+  // sttram/array.h) has not changed since it was last found clean, so it is
+  // counted clean without being read. Uncorrectable lines are de-duplicated
+  // by RAID-Group for the repair machinery.
   ScrubStats scrub_lines(std::span<const std::uint64_t> lines);
   ScrubStats scrub_all();
 
@@ -130,9 +133,9 @@ class SudokuController {
   std::uint64_t plt_storage_bits() const;
 
   // Recompute the parity lines covering the given data lines from stored
-  // state (both hashes). For harnesses that bypass write_data and mutate
-  // the array directly — the scenario MC loop restores lines to golden
-  // this way — so parity is consistent again before the next interval.
+  // state (both hashes), for harnesses that bypass write_data and mutate
+  // the array directly. Restoring lines to the codewords the parity was
+  // built from needs no rebuild: parity never saw the faults.
   void rebuild_parities_for(std::span<const std::uint64_t> lines);
 
   // Verify PLT consistency against the stored array (test hook; O(cache)).
@@ -172,6 +175,13 @@ class SudokuController {
   ParityTable& plt(int which_hash);
   const ParityTable& plt(int which_hash) const;
 
+  // The per-line ECC-1 + CRC check shared by scrubs and repairs. A verified
+  // line is kClean without a read. Otherwise `stored` (scratch) receives the
+  // line and check_and_correct runs on it; a corrected line is written back
+  // and counted in `stats`. Every result but kUncorrectable leaves the line
+  // marked verified.
+  LineCodec::LineState check_line(std::uint64_t line, BitVec& stored, ScrubStats& stats);
+
   // Run the X/Y repair pipeline on one RAID-Group under the given hash.
   // Single-bit lines are fixed and written back; then RAID-4 (one faulty
   // line) or SDR (several) is attempted. Returns lines still uncorrectable.
@@ -186,6 +196,13 @@ class SudokuController {
   // SuDoku-Z: fixed-point iteration between Hash-1 and Hash-2 groups.
   std::vector<std::uint64_t> repair_group_skewed(std::uint64_t group1, ScrubStats& stats);
 
+  // The whole repair pipeline for a Hash-1 group: repair_group_skewed
+  // under SuDoku-Z, repair_group otherwise. Returns lines still
+  // uncorrectable.
+  std::vector<std::uint64_t> repair_hash1_group(std::uint64_t group1, ScrubStats& stats);
+
+  // Recompute one parity line from the stored members (acc: scratch).
+  void rebuild_parity(int which_hash, std::uint64_t group, BitVec& acc);
   void rebuild_parities();
 };
 

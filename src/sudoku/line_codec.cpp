@@ -87,21 +87,25 @@ std::uint64_t LineCodec::fully_clean_batch(std::span<const BitVec> stored,
 }
 
 LineCodec::LineState LineCodec::check_and_correct(BitVec& stored) const {
+  if (hamming_) {
+    // One syndrome. A zero syndrome leaves only the CRC to decide; a
+    // nonzero one names the bit to flip, and flipping it zeroes the
+    // syndrome by linearity, so again only the CRC is re-checked. A CRC
+    // failure after the flip is an ECC-1 miscorrection: undo it.
+    const std::uint32_t syn = hamming_->syndrome(stored);
+    if (syn == 0) return crc_ok(stored) ? LineState::kClean : LineState::kUncorrectable;
+    const std::size_t bit = hamming_->error_index(syn);
+    if (bit == hamming_->codeword_bits()) return LineState::kUncorrectable;
+    stored.flip(bit);
+    if (crc_ok(stored)) return LineState::kCorrected;
+    stored.flip(bit);
+    return LineState::kUncorrectable;
+  }
   if (fully_clean(stored)) return LineState::kClean;
-  return correct_inconsistent(stored);
-}
-
-LineCodec::LineState LineCodec::correct_inconsistent(BitVec& stored) const {
   // One shot of the inner code, then re-validate everything. Work on a
   // copy so an unsuccessful (mis)correction does not dirty the stored line.
   BitVec trial = stored;
-  bool corrected = false;
-  if (hamming_) {
-    corrected = hamming_->decode(trial) == Hamming::DecodeStatus::kCorrected;
-  } else {
-    corrected = bch_->decode(trial).status == Bch::DecodeStatus::kCorrected;
-  }
-  if (corrected && fully_clean(trial)) {
+  if (bch_->decode(trial).status == Bch::DecodeStatus::kCorrected && fully_clean(trial)) {
     stored = trial;
     return LineState::kCorrected;
   }

@@ -61,11 +61,6 @@ class LineCodec {
   std::uint64_t fully_clean_batch(std::span<const BitVec> stored,
                                   BitPlanes& planes) const;
 
-  // Break-even batch width (docs/perf.md): below this, the fixed cost of
-  // running the bit-slice program over all n codeword positions outweighs
-  // the per-line word kernels, so callers fall back to the per-line path.
-  static constexpr std::size_t kMinBatchLines = 12;
-
   enum class LineState {
     kClean,           // no inconsistency observed
     kCorrected,       // inner code fixed <= t bits, CRC+ECC re-verified
@@ -74,13 +69,9 @@ class LineCodec {
 
   // The per-line fast path: if inconsistent, attempt inner-code correction
   // and re-validate with CRC + ECC. Leaves the line unmodified when it
-  // cannot be repaired.
+  // cannot be repaired. kClean and kCorrected both leave a line that
+  // fully_clean() accepts. For ECC-1 this computes one syndrome per call.
   LineState check_and_correct(BitVec& stored) const;
-
-  // check_and_correct for a line already known inconsistent (e.g. by
-  // fully_clean_batch): skips the redundant clean re-check, otherwise
-  // identical. Never returns kClean.
-  LineState correct_inconsistent(BitVec& stored) const;
 
   const Crc31& crc() const { return crc_; }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "sttram/fault_injector.h"
 
@@ -322,6 +324,105 @@ TEST(Controller, RandomFaultSoakNoSilentCorruption) {
   }
   // At this BER multi-line events happen but Z should fix nearly all.
   SUCCEED() << "DUE lines across soak: " << due_total;
+}
+
+// ---- verified-clean bit ----------------------------------------------------
+
+// Property: a line whose verified-clean bit is set passes fully_clean, after
+// every operation of a random mix of host reads and writes, sparse and full
+// scrubs, and external flips and line writes (the fault injector's and the
+// MC harness's restore paths). Scrubs and reads keep setting the bit, so the
+// check sees many verified lines.
+TEST(Controller, VerifiedLinesStayFullyCleanUnderRandomOperations) {
+  for (const auto level : {SudokuLevel::kX, SudokuLevel::kY, SudokuLevel::kZ}) {
+    const std::uint64_t seed = 0x7e41f1ed + static_cast<std::uint64_t>(level);
+    SCOPED_TRACE(std::string(to_string(level)) + ", replay seed " + std::to_string(seed));
+    SudokuConfig cfg;
+    cfg.geo.num_lines = 256;
+    cfg.geo.group_size = 16;  // 16 groups; Z needs lines >= group^2
+    cfg.level = level;
+    SudokuController c(cfg);
+    Rng rng(seed);
+    c.format_random(rng);
+    const std::uint64_t lines = cfg.geo.num_lines;
+    const std::uint32_t bits = c.codec().total_bits();
+    BitVec stored;
+    std::uint64_t verified_checks = 0;
+    for (int step = 0; step < 2000; ++step) {
+      const std::uint64_t line = rng.next_below(lines);
+      const char* op = "";
+      switch (rng.next_below(7)) {
+        case 0:
+          op = "write_data";
+          c.write_data(line, random_data(rng));
+          break;
+        case 1:
+          op = "read_data";
+          c.read_data(line);
+          break;
+        case 2: {
+          op = "scrub_lines";
+          std::vector<std::uint64_t> some(1 + rng.next_below(8));
+          for (auto& l : some) l = rng.next_below(lines);  // duplicates allowed
+          c.scrub_lines(some);
+          break;
+        }
+        case 3:
+          op = "scrub_all";
+          if (step % 16 == 0) c.scrub_all();
+          break;
+        case 4:
+          op = "flip";
+          inject(c, line, 1 + static_cast<int>(rng.next_below(3)), rng);
+          break;
+        case 5: {
+          op = "write_line";
+          BitVec raw = c.codec().encode(random_data(rng));
+          for (int f = static_cast<int>(rng.next_below(3)); f > 0; --f) {
+            raw.flip(static_cast<std::uint32_t>(rng.next_below(bits)));
+          }
+          c.array().write_line(line, raw);
+          break;
+        }
+        case 6: {
+          op = "group burst";
+          // Multi-bit faults in several lines of one group, for RAID-4/SDR.
+          const std::uint64_t base = line - line % cfg.geo.group_size;
+          for (int k = 0; k < 3; ++k) {
+            inject(c, base + rng.next_below(cfg.geo.group_size),
+                   1 + static_cast<int>(rng.next_below(3)), rng);
+          }
+          break;
+        }
+      }
+      for (std::uint64_t l = 0; l < lines; ++l) {
+        if (!c.array().verified(l)) continue;
+        ++verified_checks;
+        c.array().read_line(l, stored);
+        ASSERT_TRUE(c.codec().fully_clean(stored))
+            << "line " << l << " verified but not clean after step " << step << " (" << op
+            << ")";
+      }
+    }
+    EXPECT_GT(verified_checks, 0u);
+  }
+}
+
+TEST(Controller, EveryMutationClearsTheVerifiedBit) {
+  SudokuController c(small_config(SudokuLevel::kZ));
+  Rng rng(21);
+  c.format_random(rng);
+  EXPECT_TRUE(c.array().verified(5));  // format writes encoded codewords
+  c.array().flip(5, 3);
+  EXPECT_FALSE(c.array().verified(5));
+  EXPECT_TRUE(c.array().verified(4));  // neighbours sharing the bit word keep theirs
+  EXPECT_TRUE(c.array().verified(6));
+  c.scrub_lines(std::vector<std::uint64_t>{5});  // corrected and re-verified
+  EXPECT_TRUE(c.array().verified(5));
+  c.array().write_line(5, c.array().read_line(5));
+  EXPECT_FALSE(c.array().verified(5));  // even a same-value write clears it
+  EXPECT_EQ(c.read_data(5).outcome, SudokuController::ReadOutcome::kClean);
+  EXPECT_TRUE(c.array().verified(5));
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "baselines/mc_runner.h"
 #include "faults/scenario.h"
 #include "reliability/montecarlo.h"
+#include "sttram/fault_injector.h"
 #include "sudoku/controller.h"
 
 namespace sudoku::faults {
@@ -392,6 +393,48 @@ TEST(ScenarioMc, BaselineRunnerShardSplitMatchesToo) {
   EXPECT_EQ(whole.due_units, merged.due_units);
   EXPECT_EQ(whole.sdc_units, merged.sdc_units);
   EXPECT_EQ(whole.failure_intervals, merged.failure_intervals);
+}
+
+TEST(ScenarioMc, GoldenRestoreLeavesParitiesConsistent) {
+  // The scenario MC loop restores touched lines from golden without
+  // rebuilding parity: no interval writes a PLT, and the restore puts back
+  // exactly the codewords the PLTs were built from. Replay that loop on
+  // mixed-preset intervals and check the PLTs after every interval.
+  SudokuConfig cfg;
+  cfg.geo.num_lines = 1024;
+  cfg.geo.group_size = 32;
+  cfg.level = SudokuLevel::kZ;
+  SudokuController ctrl(cfg);
+  Rng rng(17);
+  ctrl.format_random(rng);
+  const SttramArray golden = ctrl.array();
+  const FaultScenario scn(ScenarioSpec::builtin("mixed"), sudoku_geometry(), 23);
+  BitVec want;
+  std::uint64_t repairs = 0;
+  std::uint64_t group_repairs = 0;
+  for (std::uint64_t t = 0; t < 400; ++t) {
+    const FaultBatch batch = scn.transient(t);
+    const ActiveStuck stuck = scn.stuck(t);
+    FaultInjector::apply(batch, ctrl.array());
+    stuck.assert_on(ctrl.array());
+    std::vector<std::uint64_t> touched;
+    for (const auto& [line, bits] : batch) touched.push_back(line);
+    touched.insert(touched.end(), stuck.units().begin(), stuck.units().end());
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+
+    const ScrubStats stats = ctrl.scrub_lines(touched);
+    repairs += stats.ecc1_corrections + stats.raid4_repairs + stats.sdr_repairs;
+    group_repairs += stats.groups_repaired;
+    stuck.assert_on(ctrl.array());
+    for (const auto line : touched) {
+      golden.read_line(line, want);
+      if (!ctrl.array().line_equals(line, want)) ctrl.array().write_line(line, want);
+    }
+    ASSERT_TRUE(ctrl.parities_consistent()) << "interval " << t;
+  }
+  EXPECT_GT(repairs, 0u);
+  EXPECT_GT(group_repairs, 0u);  // the RAID machinery read the PLTs
 }
 
 }  // namespace

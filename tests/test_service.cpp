@@ -271,17 +271,26 @@ TEST(ServiceDegradation, RetiresRepeatOffendersWithoutLosingData) {
   std::vector<std::atomic<std::uint64_t>> committed(num_addrs);
   std::atomic<std::uint64_t> violations{0};
 
-  std::atomic<bool> stop_injector{false};
+  // The injector runs a fixed number of fault intervals, paced by client
+  // progress rather than wall time: interval t fires once the clients have
+  // issued t/kTicks of their operations. The fault load is then the same on
+  // any host and build. (A wall-clock injector gave a slow sanitizer build
+  // many more intervals; the preset's wear-out population grows with t, and
+  // the extra stuck lines overflowed the spare pools.)
+  constexpr std::uint64_t kTicks = 12;
+  constexpr std::uint64_t kTotalOps = kClients * kOpsPerClient;
+  std::atomic<std::uint64_t> ops_started{0};
   std::thread injector_thread([&] {
-    for (std::uint64_t t = 0; !stop_injector.load(std::memory_order_relaxed);
-         ++t) {
+    for (std::uint64_t t = 0; t < kTicks; ++t) {
+      while (ops_started.load(std::memory_order_relaxed) < t * kTotalOps / kTicks) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
       for (std::uint32_t bank = 0; bank < kBanks; ++bank) {
         svc.assert_stuck(bank, scenarios[bank].stuck(t).cells(),
                          /*scrub_async=*/true);
         svc.inject_faults(bank, scenarios[bank].transient(t),
                           /*scrub_async=*/true);
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
 
@@ -292,6 +301,7 @@ TEST(ServiceDegradation, RetiresRepeatOffendersWithoutLosingData) {
       Rng rng(4000 + c);
       BitVec read_buf;
       for (std::uint64_t op = 0; op < kOpsPerClient; ++op) {
+        ops_started.fetch_add(1, std::memory_order_relaxed);
         const std::uint64_t addr = rng.next_below(num_addrs);
         const bool owns = addr % kClients == c;
         if (owns && rng.next_bool(0.5)) {
@@ -313,7 +323,6 @@ TEST(ServiceDegradation, RetiresRepeatOffendersWithoutLosingData) {
     });
   }
   for (auto& t : clients) t.join();
-  stop_injector.store(true, std::memory_order_relaxed);
   injector_thread.join();
   svc.drain();
   EXPECT_EQ(violations.load(), 0u);
