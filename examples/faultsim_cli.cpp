@@ -7,8 +7,15 @@
 //   faultsim_cli --scheme=<x|y|z|ecc1..ecc6|cppc|raid6|2dp|hiecc>
 //                [--ber=1e-4] [--lines=16384] [--group=128]
 //                [--intervals=1000] [--seed=1] [--inner-t=1]
+//
+// Malformed or out-of-range values are rejected with a diagnostic on
+// stderr and exit code 1.
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 
 #include "baselines/cppc_cache.h"
@@ -17,6 +24,7 @@
 #include "baselines/mc_runner.h"
 #include "baselines/raid6_cache.h"
 #include "baselines/twodp_cache.h"
+#include "raid/geometry.h"
 #include "reliability/analytical.h"
 #include "reliability/montecarlo.h"
 
@@ -35,27 +43,102 @@ struct Args {
   int inner_t = 1;
 };
 
+constexpr const char* kSchemes = "x|y|z|ecc1..ecc6|cppc|raid6|2dp|hiecc";
+
+bool bad(const std::string& key, const std::string& val, const char* expected) {
+  std::fprintf(stderr, "faultsim_cli: invalid --%s=%s (expected %s)\n", key.c_str(),
+               val.c_str(), expected);
+  return false;
+}
+
+// Whole-string unsigned parse: rejects signs, blanks, trailing text and
+// overflow, which std::stoull would either accept or throw on.
+bool parse_u64(const std::string& val, std::uint64_t& out) {
+  if (val.empty() || val[0] < '0' || val[0] > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  out = std::strtoull(val.c_str(), &end, 10);
+  return errno == 0 && *end == '\0';
+}
+
+bool parse_double(const std::string& val, double& out) {
+  if (val.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  out = std::strtod(val.c_str(), &end);
+  return errno == 0 && *end == '\0' && std::isfinite(out);
+}
+
+// ECC-k tolerance from "ecc<k>", or 0 when the scheme is not ecc1..ecc6.
+int ecc_k_of(const std::string& scheme) {
+  if (scheme.size() != 4 || scheme.rfind("ecc", 0) != 0) return 0;
+  const char k = scheme[3];
+  return k >= '1' && k <= '6' ? k - '0' : 0;
+}
+
 bool parse(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     const auto eq = a.find('=');
     if (a.rfind("--", 0) != 0 || eq == std::string::npos) {
-      std::fprintf(stderr, "bad argument: %s\n", a.c_str());
+      std::fprintf(stderr, "faultsim_cli: bad argument: %s\n", a.c_str());
       return false;
     }
     const std::string key = a.substr(2, eq - 2);
     const std::string val = a.substr(eq + 1);
-    if (key == "scheme") args.scheme = val;
-    else if (key == "ber") args.ber = std::stod(val);
-    else if (key == "lines") args.lines = std::stoull(val);
-    else if (key == "group") args.group = static_cast<std::uint32_t>(std::stoul(val));
-    else if (key == "intervals") args.intervals = std::stoull(val);
-    else if (key == "seed") args.seed = std::stoull(val);
-    else if (key == "inner-t") args.inner_t = std::stoi(val);
-    else {
-      std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
+    std::uint64_t n = 0;
+    if (key == "scheme") {
+      const bool known = val == "x" || val == "y" || val == "z" || val == "cppc" ||
+                         val == "raid6" || val == "2dp" || val == "hiecc" ||
+                         ecc_k_of(val) != 0;
+      if (!known) return bad(key, val, kSchemes);
+      args.scheme = val;
+    } else if (key == "ber") {
+      if (!parse_double(val, args.ber) || args.ber < 0 || args.ber > 1) {
+        return bad(key, val, "a probability in [0, 1]");
+      }
+    } else if (key == "lines") {
+      if (!parse_u64(val, args.lines) || args.lines == 0) {
+        return bad(key, val, "a positive integer");
+      }
+    } else if (key == "group") {
+      if (!parse_u64(val, n) || n == 0 || n > UINT32_MAX) {
+        return bad(key, val, "a positive 32-bit integer");
+      }
+      args.group = static_cast<std::uint32_t>(n);
+    } else if (key == "intervals") {
+      if (!parse_u64(val, args.intervals)) return bad(key, val, "an integer >= 0");
+    } else if (key == "seed") {
+      if (!parse_u64(val, args.seed)) return bad(key, val, "an integer >= 0");
+    } else if (key == "inner-t") {
+      if (!parse_u64(val, n) || n < 1 || n > 6) return bad(key, val, "1..6");
+      args.inner_t = static_cast<int>(n);
+    } else {
+      std::fprintf(stderr, "faultsim_cli: unknown option: --%s\n", key.c_str());
       return false;
     }
+  }
+  // Geometry each scheme's constructor would otherwise abort or throw on.
+  const RaidGeometry geo{args.lines, args.group};
+  const std::string& s = args.scheme;
+  if ((s == "x" || s == "y" || s == "2dp" || s == "raid6") && !geo.valid()) {
+    std::fprintf(stderr,
+                 "faultsim_cli: --scheme=%s needs power-of-two --lines and "
+                 "--group with lines >= group\n",
+                 s.c_str());
+    return false;
+  }
+  if (s == "z" && !geo.supports_skewed_hash()) {
+    std::fprintf(stderr,
+                 "faultsim_cli: --scheme=z needs power-of-two --lines and "
+                 "--group with lines >= group^2\n");
+    return false;
+  }
+  if (s == "hiecc" && args.lines % 16 != 0) {
+    std::fprintf(stderr,
+                 "faultsim_cli: --scheme=hiecc needs --lines to be a multiple "
+                 "of 16 (one 1 KB region)\n");
+    return false;
   }
   return true;
 }
@@ -122,8 +205,7 @@ int main(int argc, char** argv) {
   mcfg.max_intervals = args.intervals;
   mcfg.seed = args.seed;
 
-  if (args.scheme.rfind("ecc", 0) == 0) {
-    const int k = std::stoi(args.scheme.substr(3));
+  if (const int k = ecc_k_of(args.scheme)) {
     baselines::EccKCache cache(args.lines, k);
     const auto r = run_baseline_mc(cache, mcfg);
     report(cache.name(), r.p_failure_per_interval(), r.failure_intervals, r.intervals,
@@ -148,9 +230,6 @@ int main(int argc, char** argv) {
     const auto r = run_baseline_mc(cache, mcfg);
     report(cache.name(), r.p_failure_per_interval(), r.failure_intervals, r.intervals,
            hi_ecc(ap).p_interval());
-  } else {
-    std::fprintf(stderr, "\nunknown scheme: %s\n", args.scheme.c_str());
-    return 1;
   }
   return 0;
 }

@@ -67,11 +67,4 @@ BaselineStats CppcCache::scrub_units(std::span<const std::uint64_t> units) {
   return stats;
 }
 
-void CppcCache::restore_unit(std::uint64_t unit, const BitVec& golden_stored) {
-  // Thermal faults flip stored bits without touching the parity, so the
-  // global parity still reflects the line's clean codeword: restoring the
-  // golden value re-establishes consistency by itself.
-  array_.write_line(unit, golden_stored);
-}
-
 }  // namespace sudoku::baselines

@@ -23,7 +23,6 @@ class CppcCache final : public CacheScheme {
 
   void format_random(Rng& rng) override;
   BaselineStats scrub_units(std::span<const std::uint64_t> units) override;
-  void restore_unit(std::uint64_t unit, const BitVec& golden_stored) override;
   double overhead_bits_per_line() const override {
     // 41 check bits per line; one global parity amortises to ~0.
     return 41.0 + static_cast<double>(codec_.total_bits()) / num_units();

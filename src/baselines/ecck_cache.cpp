@@ -19,8 +19,4 @@ BaselineStats EccKCache::scrub_units(std::span<const std::uint64_t> units) {
   return batch_scrub_bch(bch_, array_, units, /*min_batch=*/12);
 }
 
-void EccKCache::restore_unit(std::uint64_t unit, const BitVec& golden_stored) {
-  array_.write_line(unit, golden_stored);  // no parity state to resync
-}
-
 }  // namespace sudoku::baselines

@@ -23,7 +23,6 @@ class EccKCache final : public CacheScheme {
 
   void format_random(Rng& rng) override;
   BaselineStats scrub_units(std::span<const std::uint64_t> units) override;
-  void restore_unit(std::uint64_t unit, const BitVec& golden_stored) override;
   double overhead_bits_per_line() const override { return 10.0 * k_; }
 
   int k() const { return k_; }

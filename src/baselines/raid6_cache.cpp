@@ -116,9 +116,4 @@ BaselineStats Raid6Cache::scrub_units(std::span<const std::uint64_t> units) {
   return stats;
 }
 
-void Raid6Cache::restore_unit(std::uint64_t unit, const BitVec& golden_stored) {
-  // Parities reflect the clean codewords already; just restore the data.
-  array_.write_line(unit, golden_stored);
-}
-
 }  // namespace sudoku::baselines

@@ -38,7 +38,6 @@ class Raid6Cache final : public CacheScheme {
 
   void format_random(Rng& rng) override;
   BaselineStats scrub_units(std::span<const std::uint64_t> units) override;
-  void restore_unit(std::uint64_t unit, const BitVec& golden_stored) override;
   double overhead_bits_per_line() const override {
     // 41 check bits + two parity lines amortised over the group.
     return 41.0 + 2.0 * codec_.total_bits() / geo_.group_size;

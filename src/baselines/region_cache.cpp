@@ -40,10 +40,6 @@ BaselineStats RegionEccCache::scrub_units(std::span<const std::uint64_t> units) 
   return batch_scrub_bch(bch_, array_, units, /*min_batch=*/12);
 }
 
-void RegionEccCache::restore_unit(std::uint64_t unit, const BitVec& golden_stored) {
-  array_.write_line(unit, golden_stored);
-}
-
 RegionEccCache::LineRead RegionEccCache::read_line_data(std::uint64_t line) {
   const std::uint64_t region = line / lines_per_region_;
   const std::uint32_t base = (line % lines_per_region_) * kLineDataBits;

@@ -56,7 +56,6 @@ class RegionEccCache : public CacheScheme {
 
   void format_random(Rng& rng) override;
   BaselineStats scrub_units(std::span<const std::uint64_t> units) override;
-  void restore_unit(std::uint64_t unit, const BitVec& golden_stored) override;
   double overhead_bits_per_line() const override {
     return static_cast<double>(bch_.parity_bits()) / lines_per_region_;
   }

@@ -1,8 +1,9 @@
-// Common interface for the functional baseline caches the paper compares
-// against (§II ECC-k, §VIII CPPC / RAID-6 / 2DP / Hi-ECC). Each scheme owns
-// its stored bit array and exposes a scrub entry point; the generic
-// Monte-Carlo runner injects faults, scrubs, and classifies DUE/SDC against
-// a golden snapshot.
+// Common interface for every protection scheme the Monte-Carlo kernel
+// (baselines/mc_runner.h) drives: the baseline caches the paper compares
+// against (§II ECC-k, §VIII CPPC / RAID-6 / 2DP / Hi-ECC) and SuDoku itself
+// (baselines/sudoku_scheme.h). Each scheme owns its stored bit array and
+// exposes a scrub entry point; the kernel injects faults, scrubs, and
+// classifies DUE/SDC against a golden snapshot.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +41,12 @@ class CacheScheme {
   // Scrub the given units (sparse: only units with injected faults).
   virtual BaselineStats scrub_units(std::span<const std::uint64_t> units) = 0;
 
-  // Restore a unit's stored bits (refill after data loss); implementations
-  // must also resynchronise any parity covering it.
-  virtual void restore_unit(std::uint64_t unit, const BitVec& golden_stored) = 0;
+  // Refill a unit after data loss. The default rewrites the stored bits,
+  // which is all a scheme needs when faults never touch its parity state:
+  // the parity still reflects the unit's clean codeword.
+  virtual void restore_unit(std::uint64_t unit, const BitVec& golden_stored) {
+    array().write_line(unit, golden_stored);
+  }
 
   // Storage overhead in check/parity bits per 512 data bits (for the
   // storage-comparison bench).

@@ -3,35 +3,33 @@
 // one vertical parity line per group, with mismatch-position resurrection.
 // Functionally this is SuDoku-Y restricted to a single (non-skewed) hash —
 // the paper's Table XI value for 2DP equals its SuDoku-Y DUE FIT — so the
-// implementation adapts the SuDoku controller at level Y to the baseline
-// interface.
+// scheme is the SuDoku adapter at level Y.
 #pragma once
 
-#include "baselines/scheme.h"
-#include "sudoku/controller.h"
+#include "baselines/sudoku_scheme.h"
 
 namespace sudoku::baselines {
 
-class TwoDpCache final : public CacheScheme {
+class TwoDpCache final : public SudokuScheme {
  public:
-  TwoDpCache(std::uint64_t num_lines, std::uint32_t group_size);
+  TwoDpCache(std::uint64_t num_lines, std::uint32_t group_size)
+      : SudokuScheme(make_config(num_lines, group_size)) {}
 
   std::string name() const override { return "2DP+ECC-1+CRC-31"; }
-  std::uint64_t num_units() const override { return ctrl_.array().num_lines(); }
-  std::uint32_t bits_per_unit() const override { return ctrl_.array().bits_per_line(); }
-  SttramArray& array() override { return ctrl_.array(); }
-  const SttramArray& array() const override { return ctrl_.array(); }
-
-  void format_random(Rng& rng) override { ctrl_.format_random(rng); }
-  BaselineStats scrub_units(std::span<const std::uint64_t> units) override;
-  void restore_unit(std::uint64_t unit, const BitVec& golden_stored) override;
-  double overhead_bits_per_line() const override {
-    return 41.0 + static_cast<double>(ctrl_.codec().total_bits()) /
-                      ctrl_.config().geo.group_size;
+  // 2DP refills a lost line by rewriting its stored codeword (the
+  // CacheScheme default), not through SuDoku's host write path.
+  void restore_unit(std::uint64_t unit, const BitVec& golden_stored) override {
+    CacheScheme::restore_unit(unit, golden_stored);
   }
 
  private:
-  SudokuController ctrl_;
+  static SudokuConfig make_config(std::uint64_t num_lines, std::uint32_t group_size) {
+    SudokuConfig cfg;
+    cfg.geo.num_lines = num_lines;
+    cfg.geo.group_size = group_size;
+    cfg.level = SudokuLevel::kY;  // vertical parity + resurrection, one hash
+    return cfg;
+  }
 };
 
 }  // namespace sudoku::baselines

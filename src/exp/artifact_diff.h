@@ -1,5 +1,5 @@
 // Tolerance-aware comparator for experiment artifacts (the JSON files
-// ResultSink writes and bench/golden/ pins). Built on exp/json_parse's
+// ResultSink writes and bench/golden/ pins). Built on common/json_parse's
 // raw-number-text values so the comparison can be *stricter* than any
 // double-based diff:
 //
@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/json_parse.h"
+#include "common/json_parse.h"
 
 namespace sudoku::exp {
 

@@ -6,8 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/json_parse.h"
 #include "exp/engine.h"
-#include "exp/json_parse.h"
 #include "exp/metrics_io.h"
 #include "exp/sharder.h"
 #include "exp/shutdown.h"
@@ -46,7 +46,7 @@ std::uint64_t hash_mc_config(const reliability::McConfig& c, std::uint64_t chunk
   feed(os, c.seed);
   feed(os, c.max_intervals);
   feed(os, c.target_failures);
-  feed(os, static_cast<std::uint64_t>(c.verify_against_golden));
+  feed(os, std::uint64_t{1});  // was verify_against_golden (always on); keeps keys stable
   feed(os, static_cast<std::uint64_t>(c.fixed_fault_count + 1));
   feed(os, c.host_writes_per_interval);
   feed(os, c.wer);

@@ -15,8 +15,8 @@
 
 #include <optional>
 
+#include "common/json_parse.h"
 #include "exp/json.h"
-#include "exp/json_parse.h"
 #include "obs/metrics.h"
 
 namespace sudoku::exp {

@@ -1,8 +1,13 @@
-// Monte-Carlo reliability harness (FaultSim-style, paper §VII-A). Unlike
-// the analytical models, this drives the *functional* SuDoku controller:
-// real CRC-31/ECC-1 codecs, real PLTs, real SDR trial flips. Per scrub
-// interval it injects Binomial(total_bits, BER) faults, scrubs the touched
-// lines, and classifies the outcome against golden data:
+// Monte-Carlo reliability harness for SuDoku (FaultSim-style, paper
+// §VII-A). Unlike the analytical models, this drives the *functional*
+// SuDoku controller: real CRC-31/ECC-1 codecs, real PLTs, real SDR trial
+// flips. run_montecarlo is a front-end over the one fault-interval kernel
+// (baselines/mc_runner.h, which lists its stages): it wraps the controller
+// in a baselines::SudokuScheme, passes the SuDoku-only inputs (fixed fault
+// counts, §VIII-B host writes) and maps the kernel's counts, plus the
+// scheme's repair split, onto McResult. Per interval the kernel injects
+// faults, scrubs the touched lines and classifies the outcome against
+// golden data:
 //   * DUE  — controller declared a line uncorrectable (data loss, detected)
 //   * SDC  — controller believed a line fine/corrected but it mismatches
 //            golden (silent corruption)
@@ -32,7 +37,6 @@ struct McConfig {
   std::uint64_t max_intervals = 10000;
   // Stop early once this many DUE/SDC intervals were observed (0 = never).
   std::uint64_t target_failures = 0;
-  bool verify_against_golden = true;
 
   // Rare-event hook (exp/rare_event): when >= 0, every interval injects
   // exactly this many faults at uniform distinct positions instead of a
@@ -44,34 +48,23 @@ struct McConfig {
   // §VIII-B write-error mode: host writes per interval, each of which
   // flips every written bit with probability `wer` (write error rate).
   // SuDoku does not distinguish write errors from retention errors; with
-  // wer ≈ retention BER the reliability should be similar — exercised by
-  // tests and bench_ablation_features.
+  // wer ≈ retention BER the reliability should be similar (exercised by
+  // the tests; no bench sets it).
   std::uint64_t host_writes_per_interval = 0;
   double wer = 0.0;
 
-  // Mixed-fault mode (src/faults, ROADMAP item 4): when set, interval t's
-  // faults come from the scenario instead of the i.i.d. injector —
-  // transient flips (XOR-merged across sources) plus stuck cells that are
-  // re-asserted after every repair. Each interval starts and ends in
-  // canonical state (array == golden outside stuck cells, parities
-  // consistent), so shard splits stay bit-reproducible. The scenario's
-  // geometry must match the cache geometry; fixed_fault_count and
-  // host_writes_per_interval are ignored in scenario mode. The pointed-to
-  // scenario is immutable and shared by all shards of a parallel run.
+  // Mixed-fault mode (src/faults): when set, interval t's faults come from
+  // the scenario instead of the i.i.d. injector: transient flips
+  // (XOR-merged across sources) plus stuck cells that are re-asserted after
+  // every repair. Same contract as baselines::BaselineMcConfig::scenario;
+  // fixed_fault_count and host_writes_per_interval are ignored in scenario
+  // mode.
   const faults::FaultScenario* scenario = nullptr;
 
-  // ---- experiment-engine hooks (src/exp) ----
-  // When set, interval t draws all of its randomness from a fresh Rng
-  // seeded with Rng::derive_stream_seed(seed, first_trial + t), and the
-  // golden formatting uses the reserved kFormatStream. A shard covering
-  // trials [first_trial, first_trial + max_intervals) then depends only on
-  // (seed, trial indices) — not on thread count or on how earlier shards
-  // went — which is the engine's bit-reproducibility contract.
+  // Experiment-engine hooks (src/exp); same contract as the fields of the
+  // same names in baselines::BaselineMcConfig.
   bool per_trial_seed_streams = false;
   std::uint64_t first_trial = 0;
-  // Checked before each interval; return true to abandon the run. The
-  // engine only fires this for shards whose results its deterministic
-  // merge will discard, so cancellation can never change a merged result.
   std::function<bool()> stop_hook;
 };
 

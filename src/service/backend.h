@@ -81,12 +81,6 @@ class Backend {
   virtual ScrubReport scrub_units_report(std::span<const std::uint64_t> units) = 0;
   virtual ScrubReport scrub_all_report() = 0;
 
-  // Count-only conveniences (the common callers only need the DUE count).
-  std::uint64_t scrub_units(std::span<const std::uint64_t> units) {
-    return scrub_units_report(units).due;
-  }
-  std::uint64_t scrub_all() { return scrub_all_report().due; }
-
   // Flip stored bits; batch keys are fault-unit ids within this bank.
   virtual void inject(const FaultBatch& batch) = 0;
 

@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json_parse.h"
 #include "exp/artifact_diff.h"
 #include "exp/json.h"
-#include "exp/json_parse.h"
 
 namespace sudoku::exp {
 namespace {

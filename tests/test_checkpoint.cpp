@@ -14,9 +14,9 @@
 #include <string>
 #include <thread>
 
+#include "common/json_parse.h"
 #include "exp/atomic_file.h"
 #include "exp/checkpoint.h"
-#include "exp/json_parse.h"
 #include "exp/mc_experiments.h"
 #include "exp/metrics_io.h"
 #include "exp/result_sink.h"

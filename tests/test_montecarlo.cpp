@@ -92,6 +92,21 @@ TEST(MonteCarlo, DeterministicForSeed) {
   EXPECT_EQ(a.ecc1_corrections, b.ecc1_corrections);
 }
 
+TEST(MonteCarlo, InnerEccStrengthReachesTheController) {
+  // CacheParams::inner_ecc_t must configure the functional controller, not
+  // only the analytical model: an ECC-2 inner code corrects double-bit
+  // lines inline, so far fewer lines reach the RAID machinery and fail.
+  auto cfg = accel_config(SudokuLevel::kY, 5e-4, 60);
+  cfg.cache.num_lines = 4096;
+  cfg.cache.group_size = 16;
+  const auto t1 = run_montecarlo(cfg);
+  cfg.cache.inner_ecc_t = 2;
+  const auto t2 = run_montecarlo(cfg);
+  EXPECT_GT(t1.failure_intervals, 0u) << t1.summary();
+  EXPECT_LT(t2.failure_intervals * 4, t1.failure_intervals) << t2.summary();
+  EXPECT_LT(t2.raid4_repairs * 4, t1.raid4_repairs) << t2.summary();
+}
+
 TEST(MonteCarlo, FitAndMttfConversions) {
   McResult r;
   r.intervals = 1000;

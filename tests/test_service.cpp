@@ -518,7 +518,7 @@ TEST(HiEccBackend, CorrectsUpToTAndDeclaresDueBeyond) {
   EXPECT_EQ(static_cast<int>(backend->read(80).status),
             static_cast<int>(ReadStatus::kDue));
   const std::uint64_t units[] = {5};
-  EXPECT_EQ(backend->scrub_units(units), 1u);
+  EXPECT_EQ(backend->scrub_units_report(units).due, 1u);
 
   // try_clean_read refuses faulty regions and accepts clean ones.
   BitVec scratch, data;
