@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "baselines/hiecc_cache.h"
 #include "bench_util.h"
 #include "common/rng.h"
 #include "exp/metrics_io.h"
@@ -98,9 +99,10 @@ int main(int argc, char** argv) {
     service::ServiceConfig scfg;
     scfg.banks = p.banks;
     scfg.repair_workers = 1;
-    service::MemoryService svc(scfg, [&](std::uint32_t) {
+    service::MemoryService svc(scfg, [&](std::uint32_t)
+                                         -> std::unique_ptr<baselines::LineScheme> {
       if (p.scheme == "hiecc") {
-        return service::make_hiecc_backend(lines_per_bank);
+        return std::make_unique<baselines::HiEccCache>(lines_per_bank);
       }
       SudokuConfig cfg;
       cfg.geo.num_lines = lines_per_bank;

@@ -15,12 +15,12 @@ using namespace sudoku;
 
 namespace {
 
-const char* outcome_name(SudokuController::ReadOutcome o) {
+const char* outcome_name(ReadStatus o) {
   switch (o) {
-    case SudokuController::ReadOutcome::kClean: return "clean";
-    case SudokuController::ReadOutcome::kCorrected: return "ECC-1 corrected";
-    case SudokuController::ReadOutcome::kRepaired: return "RAID/SDR repaired";
-    case SudokuController::ReadOutcome::kDue: return "UNCORRECTABLE";
+    case ReadStatus::kClean: return "clean";
+    case ReadStatus::kCorrected: return "ECC-1 corrected";
+    case ReadStatus::kRepaired: return "RAID/SDR repaired";
+    case ReadStatus::kDue: return "UNCORRECTABLE";
   }
   return "?";
 }
@@ -48,19 +48,19 @@ int main() {
   payload.set(511);
   cache.write_data(42, payload);
   auto r = cache.read_data(42);
-  std::printf("write/read line 42: %s (data ok: %s)\n", outcome_name(r.outcome),
+  std::printf("write/read line 42: %s (data ok: %s)\n", outcome_name(r.status),
               r.data == payload ? "yes" : "NO");
 
   // One thermal flip: the per-line ECC-1 fast path handles it.
   cache.array().flip(42, 300);
   r = cache.read_data(42);
-  std::printf("1-bit fault:  %s (data ok: %s)\n", outcome_name(r.outcome),
+  std::printf("1-bit fault:  %s (data ok: %s)\n", outcome_name(r.status),
               r.data == payload ? "yes" : "NO");
 
   // A 5-bit burst: CRC-31 detects, RAID-4 rebuilds from the parity group.
   for (const std::uint32_t b : {7u, 99u, 250u, 401u, 533u}) cache.array().flip(42, b);
   r = cache.read_data(42);
-  std::printf("5-bit fault:  %s (data ok: %s)\n", outcome_name(r.outcome),
+  std::printf("5-bit fault:  %s (data ok: %s)\n", outcome_name(r.status),
               r.data == payload ? "yes" : "NO");
 
   // The hard case: two 2-fault lines in the same RAID-Group. Plain RAID-4

@@ -27,10 +27,10 @@ void format_random_bch(const Bch& bch, SttramArray& array, Rng& rng) {
   }
 }
 
-BaselineStats batch_scrub_bch(const Bch& bch, SttramArray& array,
+ScrubReport batch_scrub_bch(const Bch& bch, SttramArray& array,
                               std::span<const std::uint64_t> units,
                               std::size_t min_batch) {
-  BaselineStats stats;
+  ScrubReport stats;
   const std::size_t nsyn = 2 * static_cast<std::size_t>(bch.t());
   const auto apply = [&](std::uint64_t unit, BitVec& cw,
                          Bch::DecodeResult res) {
@@ -42,7 +42,6 @@ BaselineStats batch_scrub_bch(const Bch& bch, SttramArray& array,
         ++stats.corrected;
         break;
       case Bch::DecodeStatus::kUncorrectable:
-        ++stats.due_units;
         stats.due_unit_ids.push_back(unit);
         break;
     }

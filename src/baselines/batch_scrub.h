@@ -27,7 +27,7 @@ void format_random_bch(const Bch& bch, SttramArray& array, Rng& rng);
 // kCorrected units are written back, kUncorrectable ones recorded as DUE.
 // Batches of up to BitPlanes::kMaxLines; below `min_batch` units the
 // per-unit word-Horner path is cheaper and is used instead.
-BaselineStats batch_scrub_bch(const Bch& bch, SttramArray& array,
+ScrubReport batch_scrub_bch(const Bch& bch, SttramArray& array,
                               std::span<const std::uint64_t> units,
                               std::size_t min_batch);
 

@@ -30,8 +30,8 @@ bool CppcCache::parity_consistent() const {
   return acc.none();
 }
 
-BaselineStats CppcCache::scrub_units(std::span<const std::uint64_t> units) {
-  BaselineStats stats;
+ScrubReport CppcCache::scrub_units(std::span<const std::uint64_t> units) {
+  ScrubReport stats;
   std::vector<std::uint64_t> bad;
   BitVec stored(codec_.total_bits());
   for (const auto line : units) {
@@ -61,7 +61,6 @@ BaselineStats CppcCache::scrub_units(std::span<const std::uint64_t> units) {
     }
   }
   for (const auto line : bad) {
-    ++stats.due_units;
     stats.due_unit_ids.push_back(line);
   }
   return stats;

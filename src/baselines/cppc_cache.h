@@ -22,7 +22,7 @@ class CppcCache final : public CacheScheme {
   const SttramArray& array() const override { return array_; }
 
   void format_random(Rng& rng) override;
-  BaselineStats scrub_units(std::span<const std::uint64_t> units) override;
+  ScrubReport scrub_units(std::span<const std::uint64_t> units) override;
   double overhead_bits_per_line() const override {
     // 41 check bits per line; one global parity amortises to ~0.
     return 41.0 + static_cast<double>(codec_.total_bits()) / num_units();

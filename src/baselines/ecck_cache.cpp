@@ -13,7 +13,7 @@ std::string EccKCache::name() const { return "ECC-" + std::to_string(k_); }
 
 void EccKCache::format_random(Rng& rng) { format_random_bch(bch_, array_, rng); }
 
-BaselineStats EccKCache::scrub_units(std::span<const std::uint64_t> units) {
+ScrubReport EccKCache::scrub_units(std::span<const std::uint64_t> units) {
   // Batched syndromes + decode_with_syndromes (bit-identical to per-line
   // decode); break-even width from docs/perf.md.
   return batch_scrub_bch(bch_, array_, units, /*min_batch=*/12);

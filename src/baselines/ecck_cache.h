@@ -22,7 +22,7 @@ class EccKCache final : public CacheScheme {
   const SttramArray& array() const override { return array_; }
 
   void format_random(Rng& rng) override;
-  BaselineStats scrub_units(std::span<const std::uint64_t> units) override;
+  ScrubReport scrub_units(std::span<const std::uint64_t> units) override;
   double overhead_bits_per_line() const override { return 10.0 * k_; }
 
   int k() const { return k_; }

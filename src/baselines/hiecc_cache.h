@@ -7,9 +7,8 @@
 //
 // Hi-ECC is the (1 KB, t) point of the generalized large-codeword region
 // cache (baselines/region_cache.h, ROADMAP item 5); this class pins that
-// design point and its paper-facing name. The line-granular data path
-// (read_line_data / write_line_data / probe_clean_line / format_lines)
-// and the batched scrub hook are inherited unchanged.
+// design point and its paper-facing name. The LineScheme data path (the
+// service's Hi-ECC bank) and the batched scrub hook are inherited unchanged.
 #pragma once
 
 #include "baselines/region_cache.h"

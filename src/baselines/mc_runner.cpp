@@ -117,18 +117,19 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& 
     }
 
     // ---- scrub ----
-    const BaselineStats stats = scheme.scrub_units(touched);
+    const ScrubReport stats = scheme.scrub_units(touched);
+    const std::uint64_t due = stats.due_unit_ids.size();
     counts.corrected += stats.corrected;
-    counts.due_units += stats.due_units;
+    counts.due_units += due;
     OBS_ADD(hooks.corrected, stats.corrected);
-    OBS_ADD(hooks.due_units, stats.due_units);
+    OBS_ADD(hooks.due_units, due);
     // The scrub wrote good values over stuck cells, but those cells do not
     // hold them: re-assert before classifying, so a stuck bit is never
     // mistaken for repaired state, nor for silent corruption.
     if (scenario) stuck.assert_on(array);
 
     // ---- classify ----
-    bool failed = stats.due_units > 0;
+    bool failed = due > 0;
     // DUE units are rare and few per interval; a linear scan of the small
     // id vector beats building a hash set every interval.
     const auto& due_ids = stats.due_unit_ids;

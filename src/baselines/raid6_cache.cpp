@@ -47,8 +47,8 @@ void Raid6Cache::format_random(Rng& rng) {
   for (std::uint64_t g = 0; g < geo_.num_groups(); ++g) rebuild_group(g);
 }
 
-BaselineStats Raid6Cache::scrub_units(std::span<const std::uint64_t> units) {
-  BaselineStats stats;
+ScrubReport Raid6Cache::scrub_units(std::span<const std::uint64_t> units) {
+  ScrubReport stats;
   std::unordered_set<std::uint64_t> pending_groups;
   BitVec stored(codec_.total_bits());
   for (const auto line : units) {
@@ -108,7 +108,6 @@ BaselineStats Raid6Cache::scrub_units(std::span<const std::uint64_t> units) {
     }
     if (!repaired && !bad.empty()) {
       for (const auto s : bad) {
-        ++stats.due_units;
         stats.due_unit_ids.push_back(g * geo_.group_size + s);
       }
     }

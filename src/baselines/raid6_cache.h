@@ -37,7 +37,7 @@ class Raid6Cache final : public CacheScheme {
   const SttramArray& array() const override { return array_; }
 
   void format_random(Rng& rng) override;
-  BaselineStats scrub_units(std::span<const std::uint64_t> units) override;
+  ScrubReport scrub_units(std::span<const std::uint64_t> units) override;
   double overhead_bits_per_line() const override {
     // 41 check bits + two parity lines amortised over the group.
     return 41.0 + 2.0 * codec_.total_bits() / geo_.group_size;

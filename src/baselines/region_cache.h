@@ -2,7 +2,9 @@
 // BCH codeword over a region of N consecutive 64 B cache lines, with the
 // codeword size and correction strength as free axes (codes/ecc_design.h)
 // instead of Hi-ECC's hard-coded ECC-6 over 1 KB. Hi-ECC itself is now the
-// (1 KB, t) instantiation of this scheme (baselines/hiecc_cache.h).
+// (1 KB, t) instantiation of this scheme (baselines/hiecc_cache.h). It is a
+// LineScheme, so the concurrent service can serve any design point as a
+// bank.
 //
 // The scheme's costs are what the frontier bench measures: every line read
 // decodes the whole region (read amplification = codeword_bits/512), and
@@ -12,8 +14,6 @@
 // payloads, so measured amplification can be checked against the design's
 // closed form.
 #pragma once
-
-#include <functional>
 
 #include "baselines/scheme.h"
 #include "codes/bch.h"
@@ -40,7 +40,7 @@ struct RegionIoStats {
   }
 };
 
-class RegionEccCache : public CacheScheme {
+class RegionEccCache : public LineScheme {
  public:
   // `num_lines` is in 64 B cache lines and must be a multiple of the
   // design's lines-per-codeword.
@@ -55,7 +55,7 @@ class RegionEccCache : public CacheScheme {
   const SttramArray& array() const override { return array_; }
 
   void format_random(Rng& rng) override;
-  BaselineStats scrub_units(std::span<const std::uint64_t> units) override;
+  ScrubReport scrub_units(std::span<const std::uint64_t> units) override;
   double overhead_bits_per_line() const override {
     return static_cast<double>(bch_.parity_bits()) / lines_per_region_;
   }
@@ -66,36 +66,36 @@ class RegionEccCache : public CacheScheme {
   const RegionIoStats& io_stats() const { return io_; }
   void reset_io_stats() { io_ = RegionIoStats{}; }
 
-  // ---- line-granular data path (used by the concurrent service and the
-  // frontier bench) ----
+  // ---- host data path ----
   // The stored region is a systematic BCH codeword ([data | parity]); line
   // k of a region occupies data bits [(k % lines_per_region)·512, +512). A
   // line read decodes the whole region (that is the scheme's cost model:
-  // one ECC unit per codeword); a line write is a region read-modify-write
-  // that re-encodes the parity.
-  enum class LineReadStatus { kClean, kCorrected, kDue };
-  struct LineRead {
-    BitVec data;  // 512 bits; zero when kDue
-    LineReadStatus status = LineReadStatus::kClean;
-  };
-  std::uint64_t num_data_lines() const {
+  // one ECC unit per codeword) and reports kClean, kCorrected or kDue —
+  // never kRepaired; a line write is a region read-modify-write that
+  // re-encodes the parity. try_clean_read checks the copied region's
+  // syndromes. scrub_all, attach_metrics and consistent() keep the
+  // LineScheme defaults: there are no instruments and no parity tables.
+  std::uint64_t num_lines() const override {
     return array_.num_lines() * lines_per_region_;
   }
-  LineRead read_line_data(std::uint64_t line);
-  void write_line_data(std::uint64_t line, const BitVec& data512);
-  // Side-effect-free clean probe for the service's lock-free fast path:
-  // copy line's region into `cw_scratch`; iff its syndromes are clean,
-  // extract the line's data into `data_out` and return true. Tolerates
-  // torn images (caller validates against its seqlock epoch).
-  bool probe_clean_line(std::uint64_t line, BitVec& cw_scratch,
-                        BitVec& data_out) const;
-  // Fill every line from `make_data(line)` (the service's deterministic
-  // format hook; format_random remains the MC harness entry point).
-  void format_lines(const std::function<BitVec(std::uint64_t)>& make_data);
+  std::uint64_t unit_of_line(std::uint64_t line) const override {
+    return line / lines_per_region_;
+  }
+  void format(const std::function<BitVec(std::uint64_t)>& make_data) override;
+  ReadResult read(std::uint64_t line) override;
+  void write(std::uint64_t line, const BitVec& data512) override;
+  bool try_clean_read(std::uint64_t line, BitVec& cw_scratch,
+                      BitVec& data_out) const override;
 
   static constexpr std::uint32_t kLineDataBits = 512;
+  static constexpr std::size_t kLineWords = kLineDataBits / 64;
 
  private:
+  // Line k of a region is codeword data words [k·kLineWords, +kLineWords).
+  std::size_t first_word(std::uint64_t line) const {
+    return (line % lines_per_region_) * kLineWords;
+  }
+
   EccDesign design_;
   Bch bch_;
   std::uint32_t lines_per_region_;

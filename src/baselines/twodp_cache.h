@@ -12,23 +12,15 @@ namespace sudoku::baselines {
 
 class TwoDpCache final : public SudokuScheme {
  public:
+  // Level Y: vertical parity + resurrection, one hash.
   TwoDpCache(std::uint64_t num_lines, std::uint32_t group_size)
-      : SudokuScheme(make_config(num_lines, group_size)) {}
+      : SudokuScheme({.geo = {num_lines, group_size}, .level = SudokuLevel::kY}) {}
 
   std::string name() const override { return "2DP+ECC-1+CRC-31"; }
   // 2DP refills a lost line by rewriting its stored codeword (the
   // CacheScheme default), not through SuDoku's host write path.
   void restore_unit(std::uint64_t unit, const BitVec& golden_stored) override {
     CacheScheme::restore_unit(unit, golden_stored);
-  }
-
- private:
-  static SudokuConfig make_config(std::uint64_t num_lines, std::uint32_t group_size) {
-    SudokuConfig cfg;
-    cfg.geo.num_lines = num_lines;
-    cfg.geo.group_size = group_size;
-    cfg.level = SudokuLevel::kY;  // vertical parity + resurrection, one hash
-    return cfg;
   }
 };
 

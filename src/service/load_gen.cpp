@@ -107,8 +107,8 @@ void injector_loop(MemoryService& service, const LoadConfig& config,
   std::vector<FaultInjector> injectors;
   injectors.reserve(service.banks());
   for (std::uint32_t bank = 0; bank < service.banks(); ++bank) {
-    Backend& backend = service.backend(bank);
-    injectors.emplace_back(backend.num_units(), backend.bits_per_unit(),
+    const baselines::LineScheme& scheme = service.backend(bank);
+    injectors.emplace_back(scheme.num_units(), scheme.bits_per_unit(),
                            config.ber_per_interval);
   }
   const auto interval = std::chrono::milliseconds(config.inject_interval_ms);

@@ -17,7 +17,7 @@ ClientStats::ClientStats() {
 }
 
 MemoryService::MemoryService(const ServiceConfig& config,
-                             const BackendFactory& factory)
+                             const SchemeFactory& factory)
     : fast_read_attempts_(config.fast_read_attempts),
       retire_strikes_(config.retire_strikes),
       spare_lines_per_bank_(config.spare_lines_per_bank) {
@@ -25,24 +25,24 @@ MemoryService::MemoryService(const ServiceConfig& config,
   shards_.reserve(config.banks);
   for (std::uint32_t bank = 0; bank < config.banks; ++bank) {
     auto shard = std::make_unique<BankShard>();
-    shard->backend = factory(bank);
+    shard->scheme = factory(bank);
     shard->scrub_units = shard->registry.counter("service.scrub.units");
     shard->scrub_due = shard->registry.counter("service.scrub.due_units");
     shard->retired_count = shard->registry.counter("service.retired_lines");
     shard->pool_exhausted =
         shard->registry.counter("service.retire.pool_exhausted");
-    const std::uint64_t nlines = shard->backend->num_lines();
+    const std::uint64_t nlines = shard->scheme->num_lines();
     shard->retired =
         std::make_unique<std::atomic<std::int32_t>[]>(nlines);
     for (std::uint64_t i = 0; i < nlines; ++i) {
       shard->retired[i].store(kLiveLine, std::memory_order_relaxed);
     }
-    shard->backend->attach_metrics(&shard->registry);
+    shard->scheme->attach_metrics(&shard->registry);
     shards_.push_back(std::move(shard));
   }
-  lines_per_bank_ = shards_.front()->backend->num_lines();
+  lines_per_bank_ = shards_.front()->scheme->num_lines();
   for (const auto& shard : shards_) {
-    assert(shard->backend->num_lines() == lines_per_bank_);
+    assert(shard->scheme->num_lines() == lines_per_bank_);
     (void)shard;
   }
 
@@ -71,7 +71,7 @@ MemoryService::~MemoryService() {
 void MemoryService::format(
     const std::function<BitVec(std::uint32_t, std::uint64_t)>& make_data) {
   for (std::uint32_t bank = 0; bank < banks(); ++bank) {
-    shards_[bank]->backend->format(
+    shards_[bank]->scheme->format(
         [&](std::uint64_t line) { return make_data(bank, line); });
   }
 }
@@ -89,7 +89,7 @@ ReadStatus MemoryService::read(std::uint64_t addr, ClientStats& stats,
   // under the bank mutex, so the lock-free probe must not touch them). A
   // stale kLiveLine here is harmless — see the BankShard::retired comment.
   if (shard.retired[line].load(std::memory_order_relaxed) == kLiveLine) {
-    // Seqlock fast path. The epoch pair brackets the backend's storage
+    // Seqlock fast path. The epoch pair brackets the scheme's storage
     // copy: e1 even and e2 == e1 proves no mutator ran anywhere inside the
     // probe, so the copy is untorn and the clean verdict is current.
     // Acquire on e1 orders it before the storage loads; the fence orders
@@ -99,7 +99,7 @@ ReadStatus MemoryService::read(std::uint64_t addr, ClientStats& stats,
     for (std::uint32_t attempt = 0; attempt < fast_read_attempts_; ++attempt) {
       const std::uint64_t e1 = shard.epoch.load(std::memory_order_acquire);
       if (e1 & 1) break;  // mutator active; don't burn retries
-      const bool clean = shard.backend->try_clean_read(
+      const bool clean = shard.scheme->try_clean_read(
           line, stats.stored_scratch_, stats.data_scratch_);
       std::atomic_thread_fence(std::memory_order_acquire);
       const std::uint64_t e2 = shard.epoch.load(std::memory_order_relaxed);
@@ -111,7 +111,7 @@ ReadStatus MemoryService::read(std::uint64_t addr, ClientStats& stats,
     }
   }
 
-  // Slow path: full controller read (may correct/repair, i.e. mutate).
+  // Slow path: the scheme's full read (may correct/repair, i.e. mutate).
   MutatorGuard guard(shard);
   const std::int32_t r = shard.retired[line].load(std::memory_order_relaxed);
   if (r >= 0) {
@@ -123,11 +123,11 @@ ReadStatus MemoryService::read(std::uint64_t addr, ClientStats& stats,
     stats.read_retired_->inc();
     return shard.spare_valid[slot] ? ReadStatus::kClean : ReadStatus::kDue;
   }
-  ReadReply reply = shard.backend->read(line);
+  ReadResult reply = shard.scheme->read(line);
   data_out = std::move(reply.data);
   if (r == kUnmappedLine) {
     // Retired without a spare: degraded in place, every read is a demand
-    // correction through the backend. One counter per read — the outcome
+    // correction through the scheme. One counter per read — the outcome
     // is still returned to the caller, just not double-counted.
     stats.read_degraded_->inc();
     return reply.status;
@@ -149,11 +149,11 @@ void MemoryService::write(std::uint64_t addr, const BitVec& data512,
   BankShard& shard = *shards_[addr % banks()];
   const std::uint64_t line = addr / banks();
   MutatorGuard guard(shard);
-  // Write-through: backend storage always holds the latest payload even
+  // Write-through: scheme storage always holds the latest payload even
   // for retired lines (keeps the unmapped demand-correct path and the
   // relaxed fast-path race analysis honest); a mapped retired line's spare
   // is the authoritative copy and is updated in the same bracket.
-  shard.backend->write(line, data512);
+  shard.scheme->write(line, data512);
   const std::int32_t r = shard.retired[line].load(std::memory_order_relaxed);
   if (r >= 0) {
     const auto slot = static_cast<std::uint32_t>(r);
@@ -169,7 +169,7 @@ void MemoryService::assert_stuck(std::uint32_t bank,
   BankShard& shard = *shards_[bank];
   {
     MutatorGuard guard(shard);
-    faults::assert_cells(shard.backend->raw_array(), cells);
+    faults::assert_cells(shard.scheme->array(), cells);
   }
   if (!scrub_async || cells.empty()) return;
   RepairTask task;
@@ -187,7 +187,7 @@ void MemoryService::inject_faults(std::uint32_t bank, const FaultBatch& batch,
   BankShard& shard = *shards_[bank];
   {
     MutatorGuard guard(shard);
-    shard.backend->inject(batch);
+    FaultInjector::apply(batch, shard.scheme->array());
   }
   if (!scrub_async || batch.empty()) return;
   RepairTask task;
@@ -227,14 +227,15 @@ std::uint64_t MemoryService::execute_scrub(BankShard& shard,
                                            const RepairTask& task) {
   MutatorGuard guard(shard);
   const std::uint64_t scanned =
-      task.full_sweep ? shard.backend->num_units() : task.units.size();
-  const ScrubReport report = task.full_sweep
-                                 ? shard.backend->scrub_all_report()
-                                 : shard.backend->scrub_units_report(task.units);
+      task.full_sweep ? shard.scheme->num_units() : task.units.size();
+  const baselines::ScrubReport report = task.full_sweep
+                                            ? shard.scheme->scrub_all()
+                                            : shard.scheme->scrub_units(task.units);
+  const std::uint64_t due = report.due_unit_ids.size();
   shard.scrub_units->inc(scanned);
-  shard.scrub_due->inc(report.due);
+  shard.scrub_due->inc(due);
   if (retire_strikes_ > 0) apply_scrub_report_locked(shard, task, report);
-  return report.due;
+  return due;
 }
 
 void MemoryService::note_strike_locked(BankShard& shard, std::uint64_t line) {
@@ -249,7 +250,7 @@ void MemoryService::retire_line_locked(BankShard& shard, std::uint64_t line) {
     // Snapshot through the full read path: a correctable line yields its
     // repaired payload; an uncorrectable one yields zeros (the data was
     // already lost and reported as DUE before we got here).
-    ReadReply snapshot = shard.backend->read(line);
+    ReadResult snapshot = shard.scheme->read(line);
     const auto slot = static_cast<std::int32_t>(shard.spares.size());
     shard.spares.push_back(std::move(snapshot.data));
     shard.spare_valid.push_back(snapshot.status != ReadStatus::kDue ? 1 : 0);
@@ -262,16 +263,16 @@ void MemoryService::retire_line_locked(BankShard& shard, std::uint64_t line) {
 
 void MemoryService::apply_scrub_report_locked(BankShard& shard,
                                               const RepairTask& task,
-                                              const ScrubReport& report) {
+                                              const baselines::ScrubReport& report) {
   // Dirty units strike every line they protect; units scanned clean reset
   // their lines' strike counts (a repeat offender must be *consecutively*
   // dirty). lpu maps fault units to data lines (1 for SuDoku, 16 for
   // Hi-ECC regions).
   const std::uint64_t lpu =
-      shard.backend->num_lines() / shard.backend->num_units();
-  std::vector<std::uint64_t> dirty(report.due_units);
-  dirty.insert(dirty.end(), report.repaired_units.begin(),
-               report.repaired_units.end());
+      shard.scheme->num_lines() / shard.scheme->num_units();
+  std::vector<std::uint64_t> dirty(report.due_unit_ids);
+  dirty.insert(dirty.end(), report.repaired_unit_ids.begin(),
+               report.repaired_unit_ids.end());
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
 
@@ -288,7 +289,7 @@ void MemoryService::apply_scrub_report_locked(BankShard& shard,
     // Full sweeps scan everything; rather than walking every unit, drop
     // strike entries whose unit came back clean.
     for (auto it = shard.strikes.begin(); it != shard.strikes.end();) {
-      if (!is_dirty(shard.backend->unit_of_line(it->first))) {
+      if (!is_dirty(shard.scheme->unit_of_line(it->first))) {
         it = shard.strikes.erase(it);
       } else {
         ++it;
@@ -369,7 +370,7 @@ void MemoryService::worker_loop(std::uint32_t worker_index) {
 
     BankShard& shard = *shards_[task.bank];
     const std::uint64_t scanned =
-        task.full_sweep ? shard.backend->num_units() : task.units.size();
+        task.full_sweep ? shard.scheme->num_units() : task.units.size();
     const std::uint64_t due = execute_scrub(shard, task);
     tasks->inc();
     units_scrubbed->inc(scanned);

@@ -1,12 +1,13 @@
 // Concurrent resilient-memory service (docs/service.md): a thread-safe,
-// bank-sharded front end over the SuDoku controllers and the Hi-ECC
-// baseline. Many client threads issue reads and writes against a global
-// line-interleaved address space while background workers execute scrub
-// sweeps and queued repairs — the regime where scrub/repair contention
-// decides whether a resilience scheme is viable at scale.
+// bank-sharded front end over LineSchemes (baselines/scheme.h) — SuDoku,
+// 2DP, Hi-ECC or any region-ECC design point. Many client threads issue
+// reads and writes against a global line-interleaved address space while
+// background workers execute scrub sweeps and queued repairs — the regime
+// where scrub/repair contention decides whether a resilience scheme is
+// viable at scale.
 //
 // Concurrency architecture:
-//  * BankShard — each bank owns its backend (storage + codec state), a
+//  * BankShard — each bank owns its scheme (storage + codec state), a
 //    mutex serialising every mutator, and a seqlock epoch (even = stable,
 //    odd = mutator active). Mutators bracket their work with begin/end
 //    epoch bumps while holding the mutex.
@@ -30,7 +31,7 @@
 //    configured threshold the service retires the line, snapshotting its
 //    data into a bounded per-bank spare pool and serving it from there.
 //    When the pool is exhausted, retired lines stay in place degraded:
-//    every read demand-corrects through the backend. All retirement state
+//    every read demand-corrects through the scheme. All retirement state
 //    mutates under the bank's mutator bracket; the lock-free fast path
 //    only ever sees a relaxed per-line retirement word and falls back to
 //    the locked path for anything retired.
@@ -50,11 +51,20 @@
 #include <unordered_map>
 #include <vector>
 
+#include "baselines/sudoku_scheme.h"
 #include "faults/scenario.h"
 #include "obs/metrics.h"
-#include "service/backend.h"
+#include "sttram/fault_injector.h"
 
 namespace sudoku::service {
+
+using sudoku::ReadStatus;
+
+// A SuDoku-X/Y/Z bank.
+inline std::unique_ptr<baselines::LineScheme> make_sudoku_backend(
+    const SudokuConfig& config) {
+  return std::make_unique<baselines::SudokuScheme>(config);
+}
 
 struct ServiceConfig {
   std::uint32_t banks = 4;
@@ -101,7 +111,7 @@ class ClientStats {
 
 // Degraded-capacity accounting (see degradation_report()). A mapped
 // retired line still serves full-fidelity data from its spare; an
-// unmapped one survives only as well as the backend's demand correction.
+// unmapped one survives only as well as the scheme's demand correction.
 struct BankDegradation {
   std::uint32_t bank = 0;
   std::uint64_t retired_mapped = 0;    // remapped into the spare pool
@@ -126,10 +136,10 @@ struct DegradationReport {
 
 class MemoryService {
  public:
-  using BackendFactory =
-      std::function<std::unique_ptr<Backend>(std::uint32_t bank)>;
+  using SchemeFactory =
+      std::function<std::unique_ptr<baselines::LineScheme>(std::uint32_t bank)>;
 
-  MemoryService(const ServiceConfig& config, const BackendFactory& factory);
+  MemoryService(const ServiceConfig& config, const SchemeFactory& factory);
   ~MemoryService();  // drains the repair queue, then stops the workers
 
   MemoryService(const MemoryService&) = delete;
@@ -157,7 +167,7 @@ class MemoryService {
   // scrub_async, the touched units are queued for background repair.
   void inject_faults(std::uint32_t bank, const FaultBatch& batch, bool scrub_async);
 
-  // Assert stuck-at cells onto the bank's raw storage under the mutator
+  // Assert stuck-at cells onto the bank's stored array under the mutator
   // bracket (permanent-fault harness; see faults::FaultScenario::stuck).
   // When scrub_async, the touched units are queued for background repair —
   // which is exactly how repeat-offender strikes accumulate.
@@ -188,8 +198,8 @@ class MemoryService {
   // mutator bracket in turn; safe to call concurrently with traffic.
   DegradationReport degradation_report();
 
-  // Test hook: the bank's backend. Caller must be quiesced.
-  Backend& backend(std::uint32_t bank) { return *shards_[bank]->backend; }
+  // Test hook: the bank's scheme. Caller must be quiesced.
+  baselines::LineScheme& backend(std::uint32_t bank) { return *shards_[bank]->scheme; }
 
  private:
   // Per-line retirement word: kLiveLine = normal service, kUnmappedLine =
@@ -198,7 +208,7 @@ class MemoryService {
   static constexpr std::int32_t kUnmappedLine = -2;
 
   struct BankShard {
-    std::unique_ptr<Backend> backend;
+    std::unique_ptr<baselines::LineScheme> scheme;
     std::mutex mutex;
     // Seqlock epoch: even = stable, odd = mutator active. Mutators bump it
     // twice while holding `mutex`; fast-path readers validate against it.
@@ -211,8 +221,8 @@ class MemoryService {
 
     // Retirement state. `retired` is read by the lock-free fast path with
     // relaxed ordering — safe because writes to retired lines still write
-    // through to the backend, so a stale kLiveLine observation only means
-    // the probe reads backend storage, which holds the latest data (and a
+    // through to the scheme, so a stale kLiveLine observation only means
+    // the probe reads scheme storage, which holds the latest data (and a
     // stuck cell there fails the consistency check anyway, forcing the
     // locked path). Everything else is guarded by `mutex`.
     std::unique_ptr<std::atomic<std::int32_t>[]> retired;  // one per line
@@ -252,7 +262,7 @@ class MemoryService {
   void note_strike_locked(BankShard& shard, std::uint64_t line);
   void retire_line_locked(BankShard& shard, std::uint64_t line);
   void apply_scrub_report_locked(BankShard& shard, const RepairTask& task,
-                                 const ScrubReport& report);
+                                 const baselines::ScrubReport& report);
 
   std::vector<std::unique_ptr<BankShard>> shards_;
   std::uint64_t lines_per_bank_ = 0;

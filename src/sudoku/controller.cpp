@@ -172,22 +172,22 @@ void SudokuController::write_data(std::uint64_t line, const BitVec& data) {
   }
 }
 
-SudokuController::ReadResult SudokuController::read_data(std::uint64_t line) {
+ReadResult SudokuController::read_data(std::uint64_t line) {
   BitVec stored = array_.read_line(line);
   if (array_.verified(line)) {
     OBS_INC(obs_.read_clean);
-    return {codec_.extract_data(stored), ReadOutcome::kClean};
+    return {codec_.extract_data(stored), ReadStatus::kClean};
   }
   switch (codec_.check_and_correct(stored)) {
     case LineCodec::LineState::kClean:
       array_.mark_verified(line);
       OBS_INC(obs_.read_clean);
-      return {codec_.extract_data(stored), ReadOutcome::kClean};
+      return {codec_.extract_data(stored), ReadStatus::kClean};
     case LineCodec::LineState::kCorrected:
       array_.write_line(line, stored);  // scrub-on-read of the fixed bit
       array_.mark_verified(line);
       OBS_INC(obs_.read_corrected);
-      return {codec_.extract_data(stored), ReadOutcome::kCorrected};
+      return {codec_.extract_data(stored), ReadStatus::kCorrected};
     case LineCodec::LineState::kUncorrectable:
       break;
   }
@@ -195,11 +195,11 @@ SudokuController::ReadResult SudokuController::read_data(std::uint64_t line) {
   const auto losers = repair_hash1_group(hash_.group1(line), scratch);
   if (std::find(losers.begin(), losers.end(), line) != losers.end()) {
     OBS_INC(obs_.read_due);
-    return {BitVec(LineCodec::kDataBits), ReadOutcome::kDue};
+    return {BitVec(LineCodec::kDataBits), ReadStatus::kDue};
   }
   stored = array_.read_line(line);
   OBS_INC(obs_.read_repaired);
-  return {codec_.extract_data(stored), ReadOutcome::kRepaired};
+  return {codec_.extract_data(stored), ReadStatus::kRepaired};
 }
 
 LineCodec::LineState SudokuController::check_line(std::uint64_t line, BitVec& stored,

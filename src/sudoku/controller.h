@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/bitvec.h"
+#include "common/read_result.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "raid/geometry.h"
@@ -95,16 +96,8 @@ class SudokuController {
   // (line + PLT delta; SuDoku-Z also updates the second PLT).
   void write_data(std::uint64_t line, const BitVec& data);
 
-  enum class ReadOutcome {
-    kClean,       // CRC/ECC consistent on arrival
-    kCorrected,   // ECC-1 fixed it inline
-    kRepaired,    // needed RAID-4 / SDR / Hash-2 machinery
-    kDue,         // detectable uncorrectable error: data lost
-  };
-  struct ReadResult {
-    BitVec data;
-    ReadOutcome outcome = ReadOutcome::kClean;
-  };
+  // Read 512 data bits: kClean (CRC/ECC consistent on arrival), kCorrected
+  // (ECC-1 fixed it inline), kRepaired (RAID-4 / SDR / Hash-2) or kDue.
   ReadResult read_data(std::uint64_t line);
 
   // ---- scrubbing ----

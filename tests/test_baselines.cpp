@@ -39,7 +39,7 @@ TEST_P(EccKParam, CorrectsUpToKFaultsPerLine) {
   const std::uint64_t units[] = {7};
   const auto stats = cache.scrub_units(units);
   EXPECT_EQ(stats.corrected, 1u);
-  EXPECT_EQ(stats.due_units, 0u);
+  EXPECT_EQ(stats.due_unit_ids.size(), 0u);
   EXPECT_EQ(snapshot(cache, 7), golden);
 }
 
@@ -59,7 +59,7 @@ TEST_P(EccKParam, FlagsKPlusTwoFaults) {
     inject(cache, 3, k + 2, rng);
     const std::uint64_t units[] = {3};
     const auto stats = cache.scrub_units(units);
-    due += static_cast<int>(stats.due_units);
+    due += static_cast<int>(stats.due_unit_ids.size());
     cache.restore_unit(3, golden);
   }
   EXPECT_GT(due, 15);  // nearly always detected
@@ -77,7 +77,7 @@ TEST_P(EccKParam, NeverReportsCleanBeyondK) {
     inject(cache, 9, k + 2, rng);
     const std::uint64_t units[] = {9};
     const auto stats = cache.scrub_units(units);
-    if (stats.due_units == 0) {
+    if (stats.due_unit_ids.empty()) {
       // Claimed corrected: must differ from golden only if it actually
       // miscorrected, in which case the stored word is some *other*
       // codeword — either way it was not reported clean.
@@ -106,7 +106,7 @@ TEST(CppcCache, RepairsOneMultiBitLineGlobally) {
   inject(cache, 99, 5, rng);
   const std::uint64_t units[] = {99};
   const auto stats = cache.scrub_units(units);
-  EXPECT_EQ(stats.due_units, 0u);
+  EXPECT_EQ(stats.due_unit_ids.size(), 0u);
   EXPECT_EQ(snapshot(cache, 99), golden);
 }
 
@@ -120,7 +120,7 @@ TEST(CppcCache, FailsOnTwoMultiBitLinesAnywhere) {
   inject(cache, 200, 2, rng);
   const std::uint64_t units[] = {10, 200};
   const auto stats = cache.scrub_units(units);
-  EXPECT_EQ(stats.due_units, 2u);
+  EXPECT_EQ(stats.due_unit_ids.size(), 2u);
 }
 
 TEST(CppcCache, SingleBitFaultsHandledPerLine) {
@@ -132,7 +132,7 @@ TEST(CppcCache, SingleBitFaultsHandledPerLine) {
   const std::uint64_t units[] = {5, 50};
   const auto stats = cache.scrub_units(units);
   EXPECT_EQ(stats.corrected, 2u);
-  EXPECT_EQ(stats.due_units, 0u);
+  EXPECT_EQ(stats.due_unit_ids.size(), 0u);
   EXPECT_TRUE(cache.parity_consistent());
 }
 
@@ -148,7 +148,7 @@ TEST(Raid6Cache, RepairsTwoMultiBitLinesInGroup) {
   inject(cache, 17, 4, rng);
   const std::uint64_t units[] = {3, 17};
   const auto stats = cache.scrub_units(units);
-  EXPECT_EQ(stats.due_units, 0u);
+  EXPECT_EQ(stats.due_unit_ids.size(), 0u);
   EXPECT_EQ(snapshot(cache, 3), g1);
   EXPECT_EQ(snapshot(cache, 17), g2);
 }
@@ -162,7 +162,7 @@ TEST(Raid6Cache, FailsOnThreeMultiBitLinesInGroup) {
   inject(cache, 25, 2, rng);
   const std::uint64_t units[] = {1, 9, 25};
   const auto stats = cache.scrub_units(units);
-  EXPECT_EQ(stats.due_units, 3u);
+  EXPECT_EQ(stats.due_unit_ids.size(), 3u);
 }
 
 TEST(Raid6Cache, RdpFlavorMatchesPqBehaviour) {
@@ -177,7 +177,7 @@ TEST(Raid6Cache, RdpFlavorMatchesPqBehaviour) {
     inject(cache, 3, 3, rng);
     inject(cache, 17, 4, rng);
     const std::uint64_t two[] = {3, 17};
-    EXPECT_EQ(cache.scrub_units(two).due_units, 0u) << cache.name();
+    EXPECT_EQ(cache.scrub_units(two).due_unit_ids.size(), 0u) << cache.name();
     EXPECT_EQ(snapshot(cache, 3), g1) << cache.name();
     EXPECT_EQ(snapshot(cache, 17), g2) << cache.name();
     // Third multi-bit line in the same group defeats both flavors.
@@ -185,7 +185,7 @@ TEST(Raid6Cache, RdpFlavorMatchesPqBehaviour) {
     inject(cache, 9, 2, rng);
     inject(cache, 25, 2, rng);
     const std::uint64_t three[] = {1, 9, 25};
-    EXPECT_EQ(cache.scrub_units(three).due_units, 3u) << cache.name();
+    EXPECT_EQ(cache.scrub_units(three).due_unit_ids.size(), 3u) << cache.name();
   }
 }
 
@@ -199,7 +199,7 @@ TEST(Raid6Cache, MultiBitLinesInDifferentGroupsAreIndependent) {
   inject(cache, 100, 3, rng);
   const std::uint64_t units[] = {3, 100};
   const auto stats = cache.scrub_units(units);
-  EXPECT_EQ(stats.due_units, 0u);
+  EXPECT_EQ(stats.due_unit_ids.size(), 0u);
   EXPECT_EQ(snapshot(cache, 3), g1);
   EXPECT_EQ(snapshot(cache, 100), g2);
 }
@@ -216,7 +216,7 @@ TEST(TwoDpCache, ResurrectsLikeSudokuY) {
   inject(cache, 20, 2, rng);
   const std::uint64_t units[] = {4, 20};
   const auto stats = cache.scrub_units(units);
-  EXPECT_EQ(stats.due_units, 0u);
+  EXPECT_EQ(stats.due_unit_ids.size(), 0u);
   EXPECT_EQ(snapshot(cache, 4), g1);
   EXPECT_EQ(snapshot(cache, 20), g2);
 }
@@ -230,7 +230,7 @@ TEST(TwoDpCache, NoSecondHashMeansThreeFaultPairsFail) {
   inject(cache, 20, 3, rng);
   const std::uint64_t units[] = {4, 20};
   const auto stats = cache.scrub_units(units);
-  EXPECT_EQ(stats.due_units, 2u);
+  EXPECT_EQ(stats.due_unit_ids.size(), 2u);
 }
 
 // ---------- Hi-ECC ----------
@@ -254,7 +254,7 @@ TEST(HiEccCache, SevenFaultsInRegionDetected) {
   inject(cache, 5, 8, rng);
   const std::uint64_t units[] = {5};
   const auto stats = cache.scrub_units(units);
-  EXPECT_EQ(stats.due_units, 1u);
+  EXPECT_EQ(stats.due_unit_ids.size(), 1u);
 }
 
 TEST(HiEccCache, OverheadFarBelowEcc6PerLine) {

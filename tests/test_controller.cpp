@@ -54,7 +54,7 @@ TEST(Controller, ReadBackAfterFormat) {
   });
   for (const std::uint64_t line : {0ull, 100ull, 1023ull}) {
     const auto res = c.read_data(line);
-    EXPECT_EQ(res.outcome, SudokuController::ReadOutcome::kClean);
+    EXPECT_EQ(res.status, ReadStatus::kClean);
     EXPECT_EQ(res.data, golden[line]);
   }
 }
@@ -79,10 +79,10 @@ TEST(Controller, SingleBitFaultCorrectedOnRead) {
   const BitVec want = c.read_data(5).data;
   c.array().flip(5, 17);
   const auto res = c.read_data(5);
-  EXPECT_EQ(res.outcome, SudokuController::ReadOutcome::kCorrected);
+  EXPECT_EQ(res.status, ReadStatus::kCorrected);
   EXPECT_EQ(res.data, want);
   // Scrub-on-read persisted the fix.
-  EXPECT_EQ(c.read_data(5).outcome, SudokuController::ReadOutcome::kClean);
+  EXPECT_EQ(c.read_data(5).status, ReadStatus::kClean);
 }
 
 TEST(Controller, MultiBitFaultRepairedByRaid4) {
@@ -93,7 +93,7 @@ TEST(Controller, MultiBitFaultRepairedByRaid4) {
   const BitVec want = c.read_data(40).data;
   inject(c, 40, 6, rng);
   const auto res = c.read_data(40);
-  EXPECT_EQ(res.outcome, SudokuController::ReadOutcome::kRepaired);
+  EXPECT_EQ(res.status, ReadStatus::kRepaired);
   EXPECT_EQ(res.data, want);
   EXPECT_TRUE(c.parities_consistent());
 }
@@ -421,7 +421,7 @@ TEST(Controller, EveryMutationClearsTheVerifiedBit) {
   EXPECT_TRUE(c.array().verified(5));
   c.array().write_line(5, c.array().read_line(5));
   EXPECT_FALSE(c.array().verified(5));  // even a same-value write clears it
-  EXPECT_EQ(c.read_data(5).outcome, SudokuController::ReadOutcome::kClean);
+  EXPECT_EQ(c.read_data(5).status, ReadStatus::kClean);
   EXPECT_TRUE(c.array().verified(5));
 }
 

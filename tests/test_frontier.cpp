@@ -123,7 +123,7 @@ TEST(RegionEccCache, BeyondTFaultsAreDetected) {
   cache.format_random(rng);
   inject(cache, 2, 5, rng);  // t + 2
   const std::uint64_t units[] = {2};
-  EXPECT_EQ(cache.scrub_units(units).due_units, 1u);
+  EXPECT_EQ(cache.scrub_units(units).due_unit_ids.size(), 1u);
 }
 
 TEST(RegionEccCache, RejectsLineCountNotMultipleOfRegion) {
@@ -139,12 +139,12 @@ TEST(RegionEccCache, LineDataPathRoundTripsWithRmwAccounting) {
 
   BitVec data(RegionEccCache::kLineDataBits);
   for (std::uint32_t i = 0; i < data.size(); i += 2) data.set(i);
-  cache.write_line_data(9, data);  // region 1, slot 1
-  const auto rd = cache.read_line_data(9);
-  EXPECT_EQ(rd.status, RegionEccCache::LineReadStatus::kClean);
+  cache.write(9, data);  // region 1, slot 1
+  const auto rd = cache.read(9);
+  EXPECT_EQ(rd.status, ReadStatus::kClean);
   EXPECT_EQ(rd.data, data);
   // Neighbouring line in the same region survived the RMW.
-  EXPECT_EQ(cache.read_line_data(10).status, RegionEccCache::LineReadStatus::kClean);
+  EXPECT_EQ(cache.read(10).status, ReadStatus::kClean);
 
   const auto& io = cache.io_stats();
   EXPECT_EQ(io.line_reads, 2u);
@@ -164,11 +164,11 @@ TEST(RegionEccCache, ScrubOnReadRepairsCorrectableRegion) {
   cache.format_random(rng);
   const BitVec golden = cache.array().read_line(0);
   inject(cache, 0, 2, rng);
-  const auto rd = cache.read_line_data(3);  // any line of region 0
-  EXPECT_EQ(rd.status, RegionEccCache::LineReadStatus::kCorrected);
+  const auto rd = cache.read(3);  // any line of region 0
+  EXPECT_EQ(rd.status, ReadStatus::kCorrected);
   EXPECT_EQ(cache.array().read_line(0), golden);
   // Second read sees the repaired region.
-  EXPECT_EQ(cache.read_line_data(3).status, RegionEccCache::LineReadStatus::kClean);
+  EXPECT_EQ(cache.read(3).status, ReadStatus::kClean);
 }
 
 // ---------- Hi-ECC as the (1 KB, t) special case ----------

@@ -45,7 +45,7 @@ TEST(Integration, CacheLineIndexFeedsSudokuController) {
       ctrl.write_data(res.line_index, random_data(rng));
     } else {
       const auto rr = ctrl.read_data(res.line_index);
-      ASSERT_NE(rr.outcome, SudokuController::ReadOutcome::kDue);
+      ASSERT_NE(rr.status, ReadStatus::kDue);
     }
   }
   EXPECT_TRUE(ctrl.parities_consistent());
@@ -87,7 +87,7 @@ TEST(Integration, HostTrafficInterleavedWithFaults) {
         ctrl.write_data(line, shadow[line]);
       } else {
         const auto r = ctrl.read_data(line);
-        ASSERT_NE(r.outcome, SudokuController::ReadOutcome::kDue);
+        ASSERT_NE(r.status, ReadStatus::kDue);
         ASSERT_EQ(r.data, shadow[line]) << "line " << line;
       }
     }
@@ -209,7 +209,7 @@ TEST(Integration, ControllerSurvivesBackToBackIntervalsWithoutRefill) {
   for (std::uint64_t line = 0; line < cfg.geo.num_lines; ++line) {
     if (ever_due.count(line)) continue;
     const auto r = ctrl.read_data(line);
-    if (r.outcome == SudokuController::ReadOutcome::kDue) continue;  // new faults
+    if (r.status == ReadStatus::kDue) continue;  // new faults
     ASSERT_EQ(r.data, shadow[line]) << line;
     ++checked;
   }

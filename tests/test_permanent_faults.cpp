@@ -48,7 +48,7 @@ TEST(PermanentFaults, SingleStuckCellCorrectedOnEveryRead) {
     ASSERT_EQ(r.data, want) << "round " << round;
     // The controller scrubs-on-read, but the cell re-asserts: the fault is
     // back every round and is corrected every round.
-    ASSERT_NE(r.outcome, SudokuController::ReadOutcome::kDue);
+    ASSERT_NE(r.status, ReadStatus::kDue);
   }
 }
 
