@@ -17,9 +17,9 @@ void format_random_bch(const Bch& bch, SttramArray& array, Rng& rng) {
     for (std::size_t base = 0; base < k; base += 64) {
       const std::size_t width = std::min<std::size_t>(64, k - base);
       std::uint64_t w = 0;
-      for (std::size_t b = 0; b < width; ++b) {
-        w |= static_cast<std::uint64_t>(rng.next_bool(0.5)) << b;
-      }
+      // One fair bit per draw, exactly rng.next_bool(0.5): next_double()
+      // < 0.5 iff the draw's top bit is clear.
+      for (std::size_t b = 0; b < width; ++b) w |= ((~rng.next_u64()) >> 63) << b;
       words[base / 64] = w;
     }
     bch.encode(cw);

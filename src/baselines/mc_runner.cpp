@@ -73,6 +73,7 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& 
 
   IntervalCounts counts;
   std::vector<std::uint64_t> touched;
+  std::vector<std::uint64_t> flips;  // scenario transients, flat and sorted
   for (std::uint64_t interval = 0; interval < config.max_intervals; ++interval) {
     if (config.stop_hook && config.stop_hook()) break;
     const std::uint64_t t = config.first_trial + interval;
@@ -81,12 +82,12 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& 
     // ---- sample ----
     // A scenario draws from its own per-(source, interval) streams keyed by
     // the global trial index, so its outcome is independent of sharding.
-    FaultBatch batch;
+    FaultBatch batch;  // i.i.d. only
     faults::ActiveStuck stuck;
     std::uint64_t drawn = 0;
     if (scenario) {
       faults::ScenarioTick tick;
-      batch = scenario->transient(t, &tick);
+      scenario->transient_positions(t, flips, &tick);
       stuck = scenario->stuck(t);
       drawn = tick.transient_bits;
       OBS_ADD(m_transient, tick.transient_bits);
@@ -103,17 +104,24 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& 
     OBS_OBSERVE(hooks.faults_per_interval, drawn);
 
     // ---- apply ----
-    FaultInjector::apply(batch, array);
     touched.clear();
-    touched.reserve(batch.size() + stuck.units().size());
-    for (const auto& [unit, bits] : batch) touched.push_back(unit);
     if (scenario) {
+      // Sorted positions give sorted units; merge in the stuck units.
+      const std::uint32_t bits_per_unit = scheme.bits_per_unit();
+      for (const std::uint64_t pos : flips) {
+        const std::uint64_t unit = pos / bits_per_unit;
+        array.flip(unit, static_cast<std::uint32_t>(pos % bits_per_unit));
+        if (touched.empty() || touched.back() != unit) touched.push_back(unit);
+      }
       stuck.assert_on(array);
+      const auto mid = static_cast<std::ptrdiff_t>(touched.size());
       touched.insert(touched.end(), stuck.units().begin(), stuck.units().end());
-      std::sort(touched.begin(), touched.end());
+      std::inplace_merge(touched.begin(), touched.begin() + mid, touched.end());
       touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    } else if (hooks.host_writes) {
-      counts.faults_injected += hooks.host_writes(rng, golden, touched);
+    } else {
+      FaultInjector::apply(batch, array);
+      for (const auto& [unit, bits] : batch) touched.push_back(unit);
+      if (hooks.host_writes) counts.faults_injected += hooks.host_writes(rng, golden, touched);
     }
 
     // ---- scrub ----

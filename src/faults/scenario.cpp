@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <unordered_set>
 #include <utility>
 
@@ -70,16 +69,17 @@ void assert_cells(SttramArray& array, std::span<const StuckCell> cells) {
     if (array.test(s.unit, s.bit) != s.value) array.flip(s.unit, s.bit);
 }
 
-ActiveStuck::ActiveStuck(const std::vector<StuckCell>& cells) {
-  // Last writer wins per (unit, bit); std::map gives the sorted order the
-  // MC harness relies on for deterministic iteration.
-  std::map<std::pair<std::uint64_t, std::uint32_t>, bool> resolved;
-  for (const StuckCell& s : cells) resolved[{s.unit, s.bit}] = s.value;
-  cells_.reserve(resolved.size());
-  for (const auto& [key, value] : resolved) {
-    cells_.push_back({key.first, key.second, value});
-    if (units_.empty() || units_.back() != key.first) units_.push_back(key.first);
-  }
+ActiveStuck::ActiveStuck(const std::vector<StuckCell>& cells)
+    : cells_(cells.rbegin(), cells.rend()) {
+  // Last writer wins per (unit, bit): on the reversed input a stable sort
+  // puts each key's last writer first, and unique keeps the first.
+  const auto key = [](const StuckCell& c) { return std::pair(c.unit, c.bit); };
+  std::stable_sort(cells_.begin(), cells_.end(), [&](auto& a, auto& b) { return key(a) < key(b); });
+  cells_.erase(std::unique(cells_.begin(), cells_.end(),
+                           [&](auto& a, auto& b) { return key(a) == key(b); }),
+               cells_.end());
+  for (const StuckCell& c : cells_)
+    if (units_.empty() || units_.back() != c.unit) units_.push_back(c.unit);
 }
 
 bool ActiveStuck::equal_outside_stuck(std::uint64_t unit, const BitVec& stored,
@@ -476,16 +476,9 @@ double FaultScenario::thermal_ber(const SourceSpec& s, std::uint64_t t) const {
   return effective_ber(p, s.interval_s);
 }
 
-FaultBatch FaultScenario::transient(std::uint64_t t, ScenarioTick* tick) const {
-  // XOR-merge across sources: a bit flipped by an even number of sources is
-  // back in its original state, exactly as physical flips compose.
-  std::unordered_set<std::uint64_t> flips;
-  const auto toggle = [&](std::uint64_t unit, std::uint64_t bit) {
-    const std::uint64_t pos = unit * geom_.bits_per_unit + bit;
-    const auto [it, inserted] = flips.insert(pos);
-    if (!inserted) flips.erase(it);
-  };
-
+void FaultScenario::transient_positions(std::uint64_t t, std::vector<std::uint64_t>& out,
+                                        ScenarioTick* tick) const {
+  out.clear();
   std::uint64_t cluster_events = 0;
   for (const Source& src : sources_) {
     const SourceSpec& s = src.spec;
@@ -495,8 +488,7 @@ FaultBatch FaultScenario::transient(std::uint64_t t, ScenarioTick* tick) const {
         const double ber = s.kind == SourceKind::kIid ? s.ber : thermal_ber(s, t);
         Rng rng(Rng::derive_stream_seed(src.seed, t));
         const FaultInjector inj(geom_.num_units, geom_.bits_per_unit, ber);
-        for (const auto& [unit, bits] : inj.sample_interval(rng))
-          for (const std::uint32_t bit : bits) toggle(unit, bit);
+        inj.draw_positions(rng, rng.next_binomial(geom_.total_bits(), ber), out);
         break;
       }
       case SourceKind::kCluster: {
@@ -515,7 +507,7 @@ FaultBatch FaultScenario::transient(std::uint64_t t, ScenarioTick* tick) const {
             for (std::uint32_t db = 0; db < s.span_bits; ++db) {
               const std::uint64_t bit = bit0 + db;
               if (bit >= geom_.bits_per_unit) break;
-              toggle(unit, bit);
+              out.push_back(unit * geom_.bits_per_unit + bit);
             }
           }
         }
@@ -528,17 +520,30 @@ FaultBatch FaultScenario::transient(std::uint64_t t, ScenarioTick* tick) const {
     }
   }
 
-  std::vector<std::uint64_t> sorted(flips.begin(), flips.end());
-  std::sort(sorted.begin(), sorted.end());
-  FaultBatch batch;
-  for (const std::uint64_t pos : sorted)
-    batch[pos / geom_.bits_per_unit].push_back(
-        static_cast<std::uint32_t>(pos % geom_.bits_per_unit));
+  // XOR-merge across sources: a bit flipped by an even number of sources is
+  // back in its original state, exactly as physical flips compose. Sorted,
+  // equal positions are adjacent, so each copy cancels the one kept before.
+  std::sort(out.begin(), out.end());
+  std::size_t kept = 0;
+  for (const std::uint64_t pos : out) {
+    if (kept > 0 && out[kept - 1] == pos) --kept;
+    else out[kept++] = pos;
+  }
+  out.resize(kept);
 
   if (tick) {
-    tick->transient_bits = sorted.size();
+    tick->transient_bits = kept;
     tick->cluster_events = cluster_events;
   }
+}
+
+FaultBatch FaultScenario::transient(std::uint64_t t, ScenarioTick* tick) const {
+  std::vector<std::uint64_t> flips;
+  transient_positions(t, flips, tick);
+  FaultBatch batch;
+  for (const std::uint64_t pos : flips)
+    batch[pos / geom_.bits_per_unit].push_back(
+        static_cast<std::uint32_t>(pos % geom_.bits_per_unit));
   return batch;
 }
 

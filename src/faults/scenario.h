@@ -28,7 +28,8 @@
 //
 // Transient flips from different sources merge by XOR (two sources flipping
 // the same bit cancel, as physical flips do); stuck cells merge last-wins
-// in source order. See docs/faults.md for the full model.
+// in source order. Both merges sort flat vectors; no hash or tree container
+// is built per interval. See docs/faults.md for the full model.
 #pragma once
 
 #include <cstdint>
@@ -150,7 +151,7 @@ struct ScenarioSpec {
   static std::vector<std::string> builtin_names();
 };
 
-// Per-interval telemetry filled by transient().
+// Per-interval telemetry filled by transient_positions() and transient().
 struct ScenarioTick {
   std::uint64_t transient_bits = 0;   // flips after cross-source XOR merge
   std::uint64_t cluster_events = 0;   // cluster arrivals this interval
@@ -175,8 +176,14 @@ class FaultScenario {
   // scenario can never be adopted.
   std::uint64_t fingerprint() const { return fingerprint_; }
 
-  // Transient flips for interval t, XOR-merged across sources and grouped
-  // by unit (bit lists sorted ascending; map built in sorted unit order).
+  // Transient flips for interval t as sorted flat positions (`unit *
+  // bits_per_unit + bit`), replacing `out`: all sources' draws, of which a
+  // sort keeps those drawn an odd number of times (the XOR merge).
+  void transient_positions(std::uint64_t t, std::vector<std::uint64_t>& out,
+                           ScenarioTick* tick = nullptr) const;
+
+  // transient_positions grouped by unit (bit lists sorted ascending; map
+  // built in sorted unit order).
   FaultBatch transient(std::uint64_t t, ScenarioTick* tick = nullptr) const;
 
   // Cells stuck during interval t: all stuck_at cells, intermittent cells

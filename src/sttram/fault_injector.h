@@ -1,10 +1,11 @@
 // Monte-Carlo fault injection (paper §VII-A "Reliability Evaluations",
 // FaultSim-style [50][52]). Per scrub interval, the number of flipped bits
 // across the whole array is Binomial(total_bits, BER); positions are
-// uniform. The injector returns the faults grouped by line so that the
-// scrub engine can process only touched lines — the key optimisation that
-// makes simulating a 64 MB cache (≈5.7e8 bits, ~3000 faults/20 ms at
-// BER 5.3e-6) fast.
+// uniform. `draw_positions` is the one draw: distinct flat positions in
+// draw order, deduplicated with a flat open-addressing table. The grouped
+// views over it (`sample_interval`, `sample_exact`) hand the scrub engine
+// only the touched lines — the key optimisation that makes simulating a
+// 64 MB cache (≈5.7e8 bits, ~3000 faults/20 ms at BER 5.3e-6) fast.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +38,20 @@ class FaultInjector {
   // Sample one scrub interval's worth of faults.
   FaultBatch sample_interval(Rng& rng) const;
 
+  // Append `nfaults` distinct flat positions (`line * bits_per_line + bit`)
+  // to `out` in draw order, re-drawing on collision. Aborts (loudly) when
+  // `nfaults` exceeds the array's bit capacity — there is no valid sample
+  // and the rejection loop would never terminate.
+  void draw_positions(Rng& rng, std::uint64_t nfaults,
+                      std::vector<std::uint64_t>& out) const;
+
   // Sample exactly `nfaults` distinct uniform positions — the conditional
   // distribution of an interval's faults given its Binomial count. Used by
   // the rare-event estimator (exp/rare_event), which draws counts from a
   // tilted distribution and reweights: conditioned placement is what makes
   // the count-stratified estimator exactly unbiased. Consumes the same RNG
-  // draws as the placement phase of sample_interval. Aborts (loudly) when
-  // `nfaults` exceeds the array's bit capacity — there is no valid sample
-  // and the rejection loop would never terminate.
+  // draws as the placement phase of sample_interval: draw_positions,
+  // grouped by line in draw order.
   FaultBatch sample_exact(Rng& rng, std::uint64_t nfaults) const;
 
   // Apply a batch to a stored array (flip the bits).

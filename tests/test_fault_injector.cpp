@@ -236,6 +236,65 @@ TEST(FaultInjector, FaultsSpreadAcrossLines) {
   EXPECT_LT(multi * 20, batch.size() + 1);
 }
 
+TEST(FaultInjector, DrawPositionsAppendsWithoutClearing) {
+  FaultInjector inj(16, 32, 0.0);
+  Rng rng(5);
+  std::vector<std::uint64_t> out = {~0ull, 12345};
+  inj.draw_positions(rng, 40, out);
+  ASSERT_EQ(out.size(), 42u);
+  EXPECT_EQ(out[0], ~0ull);
+  EXPECT_EQ(out[1], 12345u);
+  std::vector<std::uint64_t> drawn(out.begin() + 2, out.end());
+  for (const auto pos : drawn) EXPECT_LT(pos, 16u * 32u);
+  std::sort(drawn.begin(), drawn.end());
+  EXPECT_TRUE(std::adjacent_find(drawn.begin(), drawn.end()) == drawn.end());
+  // Zero faults appends nothing and draws nothing.
+  const std::uint64_t before = Rng(rng).next_u64();
+  inj.draw_positions(rng, 0, out);
+  EXPECT_EQ(out.size(), 42u);
+  EXPECT_EQ(rng.next_u64(), before);
+}
+
+TEST(FaultInjector, DrawPositionsAtSaturationReturnsEveryPositionOnce) {
+  for (const std::uint64_t seed : {1ull, 2ull, 77ull}) {
+    FaultInjector inj(3, 11, 0.0);  // 33 positions: not a power of two
+    Rng rng(seed);
+    std::vector<std::uint64_t> out;
+    inj.draw_positions(rng, 33, out);
+    std::sort(out.begin(), out.end());
+    ASSERT_EQ(out.size(), 33u) << "seed " << seed;
+    for (std::uint64_t p = 0; p < 33; ++p) EXPECT_EQ(out[p], p) << "seed " << seed;
+  }
+}
+
+// sample_exact is draw_positions grouped by line in draw order into a map
+// reserved for nfaults: same contents, the same map iteration order (which
+// sets the i.i.d. scrub order) and the same post-call RNG state.
+TEST(FaultInjector, GroupedDrawPositionsEqualsSampleExact) {
+  using Entries = std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>>;
+  const auto entries = [](const FaultBatch& batch) {
+    return Entries(batch.begin(), batch.end());
+  };
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    // Alternate a dense space (many redraws) with a sparse SuDoku-like one.
+    const bool dense = seed % 2 == 0;
+    const std::uint64_t lines = dense ? 8 : 4096;
+    const std::uint32_t bits = dense ? 16 : 553;
+    const std::uint64_t nfaults = dense ? seed % 129 : seed % 300;
+    const FaultInjector inj(lines, bits, 0.0);
+    Rng a(seed), b(seed);
+    const FaultBatch want = inj.sample_exact(a, nfaults);
+    std::vector<std::uint64_t> drawn;
+    inj.draw_positions(b, nfaults, drawn);
+    FaultBatch got;
+    got.reserve(nfaults);
+    for (const auto pos : drawn)
+      got[pos / bits].push_back(static_cast<std::uint32_t>(pos % bits));
+    ASSERT_EQ(entries(got), entries(want)) << "seed " << seed;
+    ASSERT_EQ(a.next_u64(), b.next_u64()) << "seed " << seed << ": RNG state differs";
+  }
+}
+
 TEST(FaultInjectorDeathTest, MoreFaultsThanBitsAbortsInsteadOfSpinning) {
   // A request for more distinct positions than the array has bits has no
   // valid sample; the rejection sampler used to spin forever. It must now

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -245,6 +246,92 @@ TEST(FaultScenario, XorMergeCancelsDoubleFlips) {
   }
 }
 
+// Differential check of the flat XOR merge. Dense sources on a tiny
+// geometry make positions coincide across two or more sources; the
+// reference replays each source's stream (derive_stream_seed(scenario
+// seed, source index), sub-stream t) and toggles every flip into a
+// std::set, as physical flips compose.
+TEST(FaultScenario, FlatXorMergeMatchesToggleReference) {
+  const Geometry geo{16, 24};
+  ScenarioSpec spec;
+  spec.name = "dense";
+  SourceSpec iid;
+  iid.kind = SourceKind::kIid;
+  iid.ber = 0.08;
+  spec.sources.push_back(iid);
+  iid.ber = 0.05;
+  spec.sources.push_back(iid);
+  SourceSpec rect;
+  rect.kind = SourceKind::kCluster;
+  rect.events_per_interval = 2.0;
+  rect.shape = ClusterShape::kRect;
+  rect.span_units = 3;
+  rect.span_bits = 5;
+  spec.sources.push_back(rect);
+  SourceSpec col = rect;
+  col.shape = ClusterShape::kCol;
+  col.span_units = 6;
+  col.span_bits = 1;
+  spec.sources.push_back(col);
+
+  std::uint64_t cancelled = 0;
+  for (const std::uint64_t seed : {3ull, 29ull}) {
+    const FaultScenario s(spec, geo, seed);
+    for (std::uint64_t t = 0; t < 300; ++t) {
+      std::set<std::uint64_t> ref;
+      std::uint64_t toggles = 0, events = 0;
+      const auto toggle = [&](std::uint64_t pos) {
+        ++toggles;
+        if (!ref.insert(pos).second) ref.erase(pos);
+      };
+      for (std::size_t i = 0; i < spec.sources.size(); ++i) {
+        const SourceSpec& src = spec.sources[i];
+        Rng rng(Rng::derive_stream_seed(Rng::derive_stream_seed(seed, i), t));
+        if (src.kind == SourceKind::kIid) {
+          const FaultInjector inj(geo.num_units, geo.bits_per_unit, src.ber);
+          for (const auto& [unit, bits] : inj.sample_interval(rng))
+            for (const auto bit : bits) toggle(unit * geo.bits_per_unit + bit);
+          continue;
+        }
+        const std::uint64_t n = rng.next_poisson(src.events_per_interval);
+        events += n;
+        for (std::uint64_t e = 0; e < n; ++e) {
+          const std::uint64_t unit0 = rng.next_below(geo.num_units);
+          const std::uint64_t bit0 = rng.next_below(geo.bits_per_unit);
+          // Footprint clipped at the array edges.
+          const std::uint64_t unit_end = std::min(unit0 + src.span_units, geo.num_units);
+          const std::uint64_t bit_end =
+              std::min<std::uint64_t>(bit0 + src.span_bits, geo.bits_per_unit);
+          for (std::uint64_t u = unit0; u < unit_end; ++u)
+            for (std::uint64_t b = bit0; b < bit_end; ++b) toggle(u * geo.bits_per_unit + b);
+        }
+      }
+      cancelled += toggles - ref.size();
+
+      std::vector<std::uint64_t> flat = {42};  // replaced, not appended to
+      ScenarioTick tick;
+      s.transient_positions(t, flat, &tick);
+      ASSERT_EQ(flat, std::vector<std::uint64_t>(ref.begin(), ref.end()))
+          << "seed " << seed << " t " << t;
+      EXPECT_EQ(tick.transient_bits, flat.size()) << "seed " << seed << " t " << t;
+      EXPECT_EQ(tick.cluster_events, events) << "seed " << seed << " t " << t;
+
+      // transient() is the grouping of the same list, with the same tick.
+      FaultBatch grouped;
+      for (const auto pos : flat)
+        grouped[pos / geo.bits_per_unit].push_back(
+            static_cast<std::uint32_t>(pos % geo.bits_per_unit));
+      ScenarioTick batch_tick;
+      EXPECT_TRUE(batches_equal(s.transient(t, &batch_tick), grouped))
+          << "seed " << seed << " t " << t;
+      EXPECT_EQ(batch_tick.transient_bits, tick.transient_bits) << "seed " << seed << " t " << t;
+      EXPECT_EQ(batch_tick.cluster_events, tick.cluster_events) << "seed " << seed << " t " << t;
+    }
+  }
+  // The spec is dense enough that the merge really cancels flips.
+  EXPECT_GT(cancelled, 0u);
+}
+
 TEST(ScenarioSpec, JsonRoundTripPreservesSpec) {
   for (const auto& name : ScenarioSpec::builtin_names()) {
     const ScenarioSpec spec = ScenarioSpec::builtin(name);
@@ -301,6 +388,42 @@ TEST(ActiveStuck, EqualOutsideStuckMasksOnlyStuckPositions) {
   // A unit with no stuck cells degenerates to plain equality.
   EXPECT_FALSE(stuck.equal_outside_stuck(3, stored, golden));
   EXPECT_TRUE(stuck.equal_outside_stuck(3, golden, golden));
+}
+
+TEST(ActiveStuck, DuplicateCellsResolveLastWinsInInputOrder) {
+  const ActiveStuck stuck(std::vector<StuckCell>{{3, 5, true},
+                                                 {1, 2, false},
+                                                 {3, 5, false},
+                                                 {1, 2, true},
+                                                 {0, 7, true},
+                                                 {3, 5, true},
+                                                 {3, 1, false}});
+  const std::vector<StuckCell> want = {
+      {0, 7, true}, {1, 2, true}, {3, 1, false}, {3, 5, true}};
+  EXPECT_EQ(stuck.cells(), want);
+  EXPECT_EQ(stuck.units(), (std::vector<std::uint64_t>{0, 1, 3}));
+}
+
+TEST(ActiveStuck, MatchesOrderedMapReference) {
+  // Random cell lists over a small key space (many duplicates), resolved
+  // against a std::map that assigns in input order.
+  Rng rng(91);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<StuckCell> cells(rng.next_below(40));
+    for (StuckCell& c : cells)
+      c = {rng.next_below(6), static_cast<std::uint32_t>(rng.next_below(5)), rng.next_bool(0.5)};
+    std::map<std::pair<std::uint64_t, std::uint32_t>, bool> ref;
+    for (const StuckCell& c : cells) ref[{c.unit, c.bit}] = c.value;
+    std::vector<StuckCell> want;
+    std::vector<std::uint64_t> units;
+    for (const auto& [key, value] : ref) {
+      want.push_back({key.first, key.second, value});
+      if (units.empty() || units.back() != key.first) units.push_back(key.first);
+    }
+    const ActiveStuck stuck(cells);
+    ASSERT_EQ(stuck.cells(), want) << "trial " << trial;
+    ASSERT_EQ(stuck.units(), units) << "trial " << trial;
+  }
 }
 
 // ---- MC integration -------------------------------------------------------
