@@ -47,10 +47,11 @@ ScrubReport batch_scrub_bch(const Bch& bch, SttramArray& array,
     }
   };
 
-  BitVec cw(bch.codeword_bits());
-  std::vector<BitVec> batch;
-  std::vector<std::uint32_t> syn;
-  BitPlanes planes;
+  // Per-thread scratch, so a steady-state scrub allocates no buffers.
+  thread_local BitVec cw;
+  thread_local std::vector<BitVec> batch;
+  thread_local std::vector<std::uint32_t> syn;
+  thread_local BitPlanes planes;
   for (std::size_t base = 0; base < units.size(); base += BitPlanes::kMaxLines) {
     const std::size_t count =
         std::min<std::size_t>(BitPlanes::kMaxLines, units.size() - base);

@@ -55,10 +55,11 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& 
   SttramArray& array = scheme.array();
   // Scratch for golden units: the compares below run per touched unit per
   // interval and must not allocate.
-  BitVec want(scheme.bits_per_unit());
-  BitVec got(scheme.bits_per_unit());
+  const std::uint32_t bits_per_unit = scheme.bits_per_unit();
+  BitVec want(bits_per_unit);
+  BitVec got(bits_per_unit);
 
-  FaultInjector injector(scheme.num_units(), scheme.bits_per_unit(), config.ber);
+  FaultInjector injector(scheme.num_units(), bits_per_unit, config.ber);
   // Unused when the build compiles observability out (obs/macros.h).
   [[maybe_unused]] obs::Counter* m_transient = nullptr;
   [[maybe_unused]] obs::Counter* m_stuck = nullptr;
@@ -73,7 +74,7 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& 
 
   IntervalCounts counts;
   std::vector<std::uint64_t> touched;
-  std::vector<std::uint64_t> flips;  // scenario transients, flat and sorted
+  std::vector<std::uint64_t> flips;  // flat positions; a scenario's are sorted
   for (std::uint64_t interval = 0; interval < config.max_intervals; ++interval) {
     if (config.stop_hook && config.stop_hook()) break;
     const std::uint64_t t = config.first_trial + interval;
@@ -82,7 +83,7 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& 
     // ---- sample ----
     // A scenario draws from its own per-(source, interval) streams keyed by
     // the global trial index, so its outcome is independent of sharding.
-    FaultBatch batch;  // i.i.d. only
+    // The i.i.d. draws are exactly sample_interval's (sample_exact's).
     faults::ActiveStuck stuck;
     std::uint64_t drawn = 0;
     if (scenario) {
@@ -94,23 +95,24 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& 
       OBS_ADD(m_stuck, stuck.cells().size());
       OBS_ADD(m_cluster, tick.cluster_events);
     } else {
-      batch = hooks.fixed_fault_count >= 0
-                  ? injector.sample_exact(
-                        rng, static_cast<std::uint64_t>(hooks.fixed_fault_count))
-                  : injector.sample_interval(rng);
-      drawn = FaultInjector::count(batch);
+      drawn = hooks.fixed_fault_count >= 0
+                  ? static_cast<std::uint64_t>(hooks.fixed_fault_count)
+                  : injector.draw_count(rng);
+      flips.clear();
+      injector.draw_positions(rng, drawn, flips);
     }
     counts.faults_injected += drawn;
     OBS_OBSERVE(hooks.faults_per_interval, drawn);
 
     // ---- apply ----
+    for (const std::uint64_t pos : flips) {
+      array.flip(pos / bits_per_unit, static_cast<std::uint32_t>(pos % bits_per_unit));
+    }
     touched.clear();
     if (scenario) {
       // Sorted positions give sorted units; merge in the stuck units.
-      const std::uint32_t bits_per_unit = scheme.bits_per_unit();
       for (const std::uint64_t pos : flips) {
         const std::uint64_t unit = pos / bits_per_unit;
-        array.flip(unit, static_cast<std::uint32_t>(pos % bits_per_unit));
         if (touched.empty() || touched.back() != unit) touched.push_back(unit);
       }
       stuck.assert_on(array);
@@ -119,8 +121,8 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& 
       std::inplace_merge(touched.begin(), touched.begin() + mid, touched.end());
       touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
     } else {
-      FaultInjector::apply(batch, array);
-      for (const auto& [unit, bits] : batch) touched.push_back(unit);
+      // The FaultBatch iteration order, which sets SuDoku-Z's repair split.
+      injector.batch_order(flips, touched);
       if (hooks.host_writes) counts.faults_injected += hooks.host_writes(rng, golden, touched);
     }
 

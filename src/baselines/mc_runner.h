@@ -2,11 +2,13 @@
 // its baseline front-end. One kernel drives every protection scheme,
 // SuDoku included (via SudokuScheme); each interval runs five stages:
 //
-//   sample    draw the interval's faults: a Binomial(total_bits, BER) count
-//             (FaultInjector::sample_interval), an exact count
-//             (sample_exact) or a fault scenario (transient + stuck);
-//   apply     flip them into the scheme's array; a scenario's stuck cells
-//             are asserted after the transient flips. An optional host-write
+//   sample    flat fault positions: FaultInjector::draw_count (Binomial)
+//             or a fixed count, then draw_positions — sample_interval's and
+//             sample_exact's draws, with no FaultBatch — or a scenario's
+//             transient_positions + stuck;
+//   apply     flip them into the scheme's array, touched units in
+//             FaultBatch order (batch_order; a scenario's ascending, its
+//             stuck cells asserted after the flips). An optional host-write
 //             step (SuDoku's §VIII-B write errors) runs here, i.i.d. only;
 //   scrub     scheme.scrub_units over the touched units;
 //   classify  DUE = units the scrub declared uncorrectable; SDC = any other
@@ -91,7 +93,7 @@ BaselineMcResult run_baseline_mc(CacheScheme& scheme, const BaselineMcConfig& co
 // i.i.d. / scenario loop.
 struct KernelHooks {
   // >= 0: every i.i.d. interval injects exactly this many faults at uniform
-  // distinct positions (FaultInjector::sample_exact) instead of a Binomial
+  // distinct positions (as FaultInjector::sample_exact) instead of a Binomial
   // count. Ignored in scenario mode.
   std::int64_t fixed_fault_count = -1;
   // Runs between apply and scrub on i.i.d. intervals with the interval's

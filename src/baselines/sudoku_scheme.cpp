@@ -36,7 +36,7 @@ bool SudokuScheme::try_clean_read(std::uint64_t line, BitVec& stored_scratch,
   // not. fully_clean is also the exact predicate under which read() returns
   // kClean without touching storage, so the fast path never diverges.
   if (!ctrl_.codec().fully_clean(stored_scratch)) return false;
-  data_out = ctrl_.codec().extract_data(stored_scratch);
+  ctrl_.codec().extract_data(stored_scratch, data_out);
   return true;
 }
 

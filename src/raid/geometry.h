@@ -10,7 +10,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <vector>
 
 namespace sudoku {
 
@@ -72,17 +71,6 @@ class SkewedHash {
   }
   std::uint32_t slot2(std::uint64_t line) const {
     return static_cast<std::uint32_t>((line >> g_) & low_mask_);
-  }
-
-  std::vector<std::uint64_t> members1(std::uint64_t group) const {
-    std::vector<std::uint64_t> v(geo_.group_size);
-    for (std::uint32_t s = 0; s < geo_.group_size; ++s) v[s] = member1(group, s);
-    return v;
-  }
-  std::vector<std::uint64_t> members2(std::uint64_t group) const {
-    std::vector<std::uint64_t> v(geo_.group_size);
-    for (std::uint32_t s = 0; s < geo_.group_size; ++s) v[s] = member2(group, s);
-    return v;
   }
 
  private:

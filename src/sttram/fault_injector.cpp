@@ -4,12 +4,13 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <memory_resource>
+#include <unordered_set>
 
 namespace sudoku {
 
 FaultBatch FaultInjector::sample_interval(Rng& rng) const {
-  const std::uint64_t total_bits = num_lines_ * bits_per_line_;
-  return sample_exact(rng, rng.next_binomial(total_bits, ber_));
+  return sample_exact(rng, draw_count(rng));
 }
 
 void FaultInjector::draw_positions(Rng& rng, std::uint64_t nfaults,
@@ -69,6 +70,17 @@ FaultBatch FaultInjector::sample_exact(Rng& rng, std::uint64_t nfaults) const {
         static_cast<std::uint32_t>(pos % bits_per_line_));
   }
   return batch;
+}
+
+void FaultInjector::batch_order(std::span<const std::uint64_t> positions,
+                                std::vector<std::uint64_t>& out) const {
+  // About 24 bytes per line (node and bucket); past that, heap blocks.
+  alignas(std::max_align_t) std::byte arena[16384];
+  std::pmr::monotonic_buffer_resource pool(arena, sizeof arena);
+  std::pmr::unordered_set<std::uint64_t> seen(&pool);
+  seen.reserve(positions.size());
+  for (const auto pos : positions) seen.insert(pos / bits_per_line_);
+  out.assign(seen.begin(), seen.end());
 }
 
 void FaultInjector::apply(const FaultBatch& batch, SttramArray& array) {

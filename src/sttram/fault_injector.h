@@ -2,13 +2,16 @@
 // FaultSim-style [50][52]). Per scrub interval, the number of flipped bits
 // across the whole array is Binomial(total_bits, BER); positions are
 // uniform. `draw_positions` is the one draw: distinct flat positions in
-// draw order, deduplicated with a flat open-addressing table. The grouped
-// views over it (`sample_interval`, `sample_exact`) hand the scrub engine
-// only the touched lines — the key optimisation that makes simulating a
-// 64 MB cache (≈5.7e8 bits, ~3000 faults/20 ms at BER 5.3e-6) fast.
+// draw order, deduplicated with a flat open-addressing table. The
+// Monte-Carlo kernel flips them itself and scrubs the touched lines in
+// `batch_order`; the grouped views (`sample_interval`, `sample_exact`)
+// serve the rest. Scrubbing only the touched lines is the key optimisation
+// that makes simulating a 64 MB cache (≈5.7e8 bits, ~3000 faults/20 ms at
+// BER 5.3e-6) fast.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -33,9 +36,13 @@ class FaultInjector {
       : num_lines_(num_lines), bits_per_line_(bits_per_line), ber_(ber_per_interval) {}
 
   double ber() const { return ber_; }
-  void set_ber(double ber) { ber_ = ber; }
 
-  // Sample one scrub interval's worth of faults.
+  // One interval's fault count, Binomial(total_bits, BER).
+  std::uint64_t draw_count(Rng& rng) const {
+    return rng.next_binomial(num_lines_ * bits_per_line_, ber_);
+  }
+
+  // Sample one scrub interval's worth of faults: sample_exact(draw_count).
   FaultBatch sample_interval(Rng& rng) const;
 
   // Append `nfaults` distinct flat positions (`line * bits_per_line + bit`)
@@ -53,6 +60,14 @@ class FaultInjector {
   // draws as the placement phase of sample_interval: draw_positions,
   // grouped by line in draw order.
   FaultBatch sample_exact(Rng& rng, std::uint64_t nfaults) const;
+
+  // Replaces `out` with the lines of a draw_positions draw in the iteration
+  // order of the FaultBatch sample_exact groups it into: the same hash
+  // table (reserve(n), inserts in draw order) filled as a set over a stack
+  // arena, so no allocation up to ~600 positions. scrub_lines' group order
+  // (sudoku/controller.cpp) is the other scrub order set by hash layout.
+  void batch_order(std::span<const std::uint64_t> positions,
+                   std::vector<std::uint64_t>& out) const;
 
   // Apply a batch to a stored array (flip the bits).
   static void apply(const FaultBatch& batch, SttramArray& array);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <memory_resource>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -64,6 +65,7 @@ SudokuController::SudokuController(const SudokuConfig& config)
   const std::uint32_t width = codec_.total_bits();
   array_ = SttramArray(config_.geo.num_lines, width);
   plt1_ = ParityTable(config_.geo.num_groups(), width);
+  parity_ = BitVec(width);
   if (config_.level == SudokuLevel::kZ) {
     plt2_.emplace(config_.geo.num_groups(), width);
   }
@@ -101,14 +103,10 @@ const ParityTable& SudokuController::plt(int which_hash) const {
   return which_hash == 1 ? plt1_ : *plt2_;
 }
 
-std::vector<std::uint64_t> SudokuController::group_members(std::uint64_t group,
-                                                           int which_hash) const {
-  return which_hash == 1 ? hash_.members1(group) : hash_.members2(group);
-}
-
 void SudokuController::format(const std::function<BitVec(std::uint64_t)>& make_data) {
   for (std::uint64_t line = 0; line < config_.geo.num_lines; ++line) {
-    array_.write_line(line, codec_.encode(make_data(line)));
+    codec_.encode(make_data(line), line_);
+    array_.write_line(line, line_);
     array_.mark_verified(line);
   }
   rebuild_parities();
@@ -119,24 +117,33 @@ void SudokuController::format_zero() {
 }
 
 void SudokuController::format_random(Rng& rng) {
-  format([&rng](std::uint64_t) {
-    BitVec data(LineCodec::kDataBits);
-    auto words = data.words();
-    for (auto& w : words) w = rng.next_u64();
-    return data;
-  });
+  // format() with one reused data buffer instead of one per line.
+  BitVec data(LineCodec::kDataBits);
+  for (std::uint64_t line = 0; line < config_.geo.num_lines; ++line) {
+    for (auto& w : data.words()) w = rng.next_u64();
+    codec_.encode(data, line_);
+    array_.write_line(line, line_);
+    array_.mark_verified(line);
+  }
+  rebuild_parities();
 }
 
-void SudokuController::rebuild_parity(int which_hash, std::uint64_t group, BitVec& acc) {
-  acc.clear();
-  for (const auto line : group_members(group, which_hash)) array_.xor_line_into(line, acc);
-  plt(which_hash).write(group, acc);
+void SudokuController::xor_group_into(std::uint64_t group, int which_hash,
+                                      BitVec& acc) const {
+  for (std::uint32_t s = 0; s < config_.geo.group_size; ++s) {
+    array_.xor_line_into(member(group, which_hash, s), acc);
+  }
+}
+
+void SudokuController::rebuild_parity(int which_hash, std::uint64_t group) {
+  parity_.clear();
+  xor_group_into(group, which_hash, parity_);
+  plt(which_hash).write(group, parity_);
 }
 
 void SudokuController::rebuild_parities() {
-  BitVec acc(codec_.total_bits());
   for (int h = 1; h <= (plt2_ ? 2 : 1); ++h) {
-    for (std::uint64_t g = 0; g < config_.geo.num_groups(); ++g) rebuild_parity(h, g, acc);
+    for (std::uint64_t g = 0; g < config_.geo.num_groups(); ++g) rebuild_parity(h, g);
   }
 }
 
@@ -156,15 +163,14 @@ void SudokuController::write_data(std::uint64_t line, const BitVec& data) {
     // overwrites it, and we must resynchronise parity the hard way below.
     old_consistent = codec_.fully_clean(old);
   }
-  const BitVec fresh = codec_.encode(data);
-  array_.write_line(line, fresh);
+  codec_.encode(data, line_);
+  array_.write_line(line, line_);
   array_.mark_verified(line);
   if (old_consistent) {
     // Second read-modify-write: PLT delta update (paper §III-B).
-    BitVec delta = old;
-    delta ^= fresh;
-    plt1_.apply_delta(hash_.group1(line), delta);
-    if (plt2_) plt2_->apply_delta(hash_.group2(line), delta);
+    old ^= line_;  // the delta
+    plt1_.apply_delta(hash_.group1(line), old);
+    if (plt2_) plt2_->apply_delta(hash_.group2(line), old);
   } else {
     // Rare fallback: rebuild the parities of the affected groups from the
     // stored lines.
@@ -192,7 +198,7 @@ ReadResult SudokuController::read_data(std::uint64_t line) {
       break;
   }
   ScrubStats scratch;
-  const auto losers = repair_hash1_group(hash_.group1(line), scratch);
+  const auto& losers = repair_hash1_group(hash_.group1(line), scratch);
   if (std::find(losers.begin(), losers.end(), line) != losers.end()) {
     OBS_INC(obs_.read_due);
     return {BitVec(LineCodec::kDataBits), ReadStatus::kDue};
@@ -222,10 +228,10 @@ bool SudokuController::raid4_reconstruct(std::uint64_t group, int which_hash,
                                          std::uint64_t victim, ScrubStats& stats) {
   // Effective parity over everything except the victim equals the victim's
   // fault-free codeword — provided all other members are consistent.
-  BitVec acc = plt(which_hash).read(group);
-  for (const auto line : group_members(group, which_hash)) {
-    if (line != victim) array_.xor_line_into(line, acc);
-  }
+  BitVec& acc = parity_;
+  plt(which_hash).read(group, acc);
+  xor_group_into(group, which_hash, acc);
+  array_.xor_line_into(victim, acc);  // take the victim back out
   if (!codec_.fully_clean(acc)) return false;
   array_.write_line(victim, acc);
   array_.mark_verified(victim);
@@ -235,16 +241,15 @@ bool SudokuController::raid4_reconstruct(std::uint64_t group, int which_hash,
   return true;
 }
 
-std::vector<std::uint64_t> SudokuController::repair_group(std::uint64_t group,
-                                                          int which_hash,
-                                                          ScrubStats& stats) {
-  const auto members = group_members(group, which_hash);
-
+const SudokuController::Lines& SudokuController::repair_group(std::uint64_t group,
+                                                              int which_hash,
+                                                              ScrubStats& stats) {
   // Pass 1 (paper §III-C): fix every single-bit line with ECC-1.
-  std::vector<std::uint64_t> bad;
-  BitVec stored(codec_.total_bits());
-  for (const auto line : members) {
-    if (check_line(line, stored, stats) == LineCodec::LineState::kUncorrectable) {
+  Lines& bad = bad_[which_hash - 1];
+  bad.clear();
+  for (std::uint32_t s = 0; s < config_.geo.group_size; ++s) {
+    const std::uint64_t line = member(group, which_hash, s);
+    if (check_line(line, line_, stats) == LineCodec::LineState::kUncorrectable) {
       bad.push_back(line);
     }
   }
@@ -273,14 +278,15 @@ std::vector<std::uint64_t> SudokuController::repair_group(std::uint64_t group,
   while (progress && bad.size() >= 2) {
     progress = false;
 
-    BitVec mismatch = plt(which_hash).read(group);
-    for (const auto line : members) array_.xor_line_into(line, mismatch);
+    BitVec& mismatch = parity_;
+    plt(which_hash).read(group, mismatch);
+    xor_group_into(group, which_hash, mismatch);
     const std::uint32_t cap = config_.sdr_mismatch_cap();
     const auto positions = mismatch.set_positions(cap + 1);
     if (positions.empty() || positions.size() > cap) break;
     OBS_OBSERVE(obs_.sdr_mismatch_bits, positions.size());
 
-    BitVec trial(codec_.total_bits());
+    BitVec& trial = line_;
     for (auto it = bad.begin(); it != bad.end() && !progress; ++it) {
       array_.read_line(*it, trial);
       for (const auto pos : positions) {
@@ -308,9 +314,9 @@ std::vector<std::uint64_t> SudokuController::repair_group(std::uint64_t group,
   return bad;
 }
 
-std::vector<std::uint64_t> SudokuController::repair_group_skewed(std::uint64_t group1,
-                                                                 ScrubStats& stats) {
-  auto bad = repair_group(group1, 1, stats);
+const SudokuController::Lines& SudokuController::repair_group_skewed(std::uint64_t group1,
+                                                                     ScrubStats& stats) {
+  const auto& bad = repair_group(group1, 1, stats);  // bad_[0]; Hash-2 uses bad_[1]
   while (!bad.empty()) {
     // Try every surviving line under its Hash-2 group (paper §V-B). Any
     // line repaired there shrinks the Hash-1 problem; iterate to a fixed
@@ -319,17 +325,17 @@ std::vector<std::uint64_t> SudokuController::repair_group_skewed(std::uint64_t g
     for (const auto line : bad) {
       ++stats.hash2_invocations;
       OBS_INC(obs_.repair_hash2);
-      const auto left = repair_group(hash_.group2(line), 2, stats);
+      const auto& left = repair_group(hash_.group2(line), 2, stats);
       if (std::find(left.begin(), left.end(), line) == left.end()) progress = true;
     }
     if (!progress) break;
-    bad = repair_group(group1, 1, stats);
+    repair_group(group1, 1, stats);
   }
   return bad;
 }
 
-std::vector<std::uint64_t> SudokuController::repair_hash1_group(std::uint64_t group1,
-                                                                ScrubStats& stats) {
+const SudokuController::Lines& SudokuController::repair_hash1_group(std::uint64_t group1,
+                                                                    ScrubStats& stats) {
   return config_.level == SudokuLevel::kZ ? repair_group_skewed(group1, stats)
                                           : repair_group(group1, 1, stats);
 }
@@ -337,15 +343,18 @@ std::vector<std::uint64_t> SudokuController::repair_hash1_group(std::uint64_t gr
 ScrubStats SudokuController::scrub_lines(std::span<const std::uint64_t> lines) {
   ScrubStats stats;
   stats.lines_scanned = lines.size();
+  stats.repaired_line_ids.reserve(lines.size());  // one allocation, not log(n)
   OBS_ADD(obs_.scrub_lines_scanned, lines.size());
 
   // Per-line fast path, in input order; verified lines are counted clean
   // without being read. Groups that still contain an uncorrectable line go
   // through the RAID machinery once each.
-  std::unordered_set<std::uint64_t> pending_groups;
-  BitVec stored(codec_.total_bits());
+  // The group sets live in a stack arena (heap past ~200 groups).
+  alignas(std::max_align_t) std::byte arena[16384];
+  std::pmr::monotonic_buffer_resource pool(arena, sizeof arena);
+  std::pmr::unordered_set<std::uint64_t> pending_groups(&pool);
   for (const auto line : lines) {
-    switch (check_line(line, stored, stats)) {
+    switch (check_line(line, line_, stats)) {
       case LineCodec::LineState::kClean:
         ++stats.lines_clean;
         OBS_INC(obs_.scrub_lines_clean);
@@ -361,19 +370,20 @@ ScrubStats SudokuController::scrub_lines(std::span<const std::uint64_t> lines) {
   // Repair pending groups to a *global* fixed point: a line fixed through
   // its Hash-2 group may unblock another pending Hash-1 group (and vice
   // versa), so keep retrying failing groups while any pass makes progress.
-  std::unordered_map<std::uint64_t, std::size_t> failing;  // group -> #losers
+  // This order, like FaultInjector::batch_order's, sets SuDoku-Z's split.
+  std::pmr::unordered_map<std::uint64_t, std::size_t> failing(&pool);  // group -> #losers
   for (const auto g : pending_groups) failing.emplace(g, SIZE_MAX);
   bool progress = true;
   while (progress && !failing.empty()) {
     progress = false;
     for (auto it = failing.begin(); it != failing.end();) {
-      const auto losers = repair_hash1_group(it->first, stats);
-      if (losers.empty()) {
+      const std::size_t losers = repair_hash1_group(it->first, stats).size();
+      if (losers == 0) {
         it = failing.erase(it);
         progress = true;
       } else {
-        if (losers.size() < it->second) progress = true;
-        it->second = losers.size();
+        if (losers < it->second) progress = true;
+        it->second = losers;
         ++it;
       }
     }
@@ -400,36 +410,22 @@ std::uint64_t SudokuController::plt_storage_bits() const {
 }
 
 void SudokuController::rebuild_parities_for(std::span<const std::uint64_t> lines) {
-  std::vector<std::uint64_t> g1, g2;
-  g1.reserve(lines.size());
-  for (const auto line : lines) {
-    g1.push_back(hash_.group1(line));
-    if (plt2_) g2.push_back(hash_.group2(line));
+  for (int h = 1; h <= (plt2_ ? 2 : 1); ++h) {
+    std::vector<std::uint64_t> groups;  // of the lines under hash h
+    for (const auto l : lines) groups.push_back(h == 1 ? hash_.group1(l) : hash_.group2(l));
+    std::sort(groups.begin(), groups.end());
+    groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
+    for (const auto g : groups) rebuild_parity(h, g);
   }
-  const auto dedup = [](std::vector<std::uint64_t>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  };
-  dedup(g1);
-  dedup(g2);
-  BitVec acc(codec_.total_bits());
-  for (const auto g : g1) rebuild_parity(1, g, acc);
-  for (const auto g : g2) rebuild_parity(2, g, acc);
 }
 
 bool SudokuController::parities_consistent() const {
   BitVec acc(codec_.total_bits());
-  for (std::uint64_t g = 0; g < config_.geo.num_groups(); ++g) {
-    acc.clear();
-    for (const auto line : hash_.members1(g)) array_.xor_line_into(line, acc);
-    plt1_.xor_into(g, acc);
-    if (acc.any()) return false;
-  }
-  if (plt2_) {
+  for (int h = 1; h <= (plt2_ ? 2 : 1); ++h) {
     for (std::uint64_t g = 0; g < config_.geo.num_groups(); ++g) {
       acc.clear();
-      for (const auto line : hash_.members2(g)) array_.xor_line_into(line, acc);
-      plt2_->xor_into(g, acc);
+      xor_group_into(g, h, acc);
+      plt(h).xor_into(g, acc);
       if (acc.any()) return false;
     }
   }

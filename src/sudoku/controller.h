@@ -164,7 +164,19 @@ class SudokuController {
   };
   Instruments obs_;
 
-  std::vector<std::uint64_t> group_members(std::uint64_t group, int which_hash) const;
+  // Scratch, so that repairs allocate nothing: a parity read (RAID-4, SDR
+  // mismatch), a stored line (check_line, SDR trials, format) and
+  // repair_group's result per hash.
+  BitVec parity_;
+  BitVec line_;
+  using Lines = std::vector<std::uint64_t>;
+  Lines bad_[2];
+
+  std::uint64_t member(std::uint64_t group, int which_hash, std::uint32_t slot) const {
+    return which_hash == 1 ? hash_.member1(group, slot) : hash_.member2(group, slot);
+  }
+  // acc ^= every member of a RAID-Group under the given hash.
+  void xor_group_into(std::uint64_t group, int which_hash, BitVec& acc) const;
   ParityTable& plt(int which_hash);
   const ParityTable& plt(int which_hash) const;
 
@@ -177,9 +189,9 @@ class SudokuController {
 
   // Run the X/Y repair pipeline on one RAID-Group under the given hash.
   // Single-bit lines are fixed and written back; then RAID-4 (one faulty
-  // line) or SDR (several) is attempted. Returns lines still uncorrectable.
-  std::vector<std::uint64_t> repair_group(std::uint64_t group, int which_hash,
-                                          ScrubStats& stats);
+  // line) or SDR (several) is attempted. Returns lines still uncorrectable,
+  // in bad_[which_hash - 1]: valid until the next repair under that hash.
+  const Lines& repair_group(std::uint64_t group, int which_hash, ScrubStats& stats);
 
   // Reconstruct `victim` from the other members + parity; returns true and
   // writes the line back when the reconstruction validates.
@@ -187,15 +199,15 @@ class SudokuController {
                          ScrubStats& stats);
 
   // SuDoku-Z: fixed-point iteration between Hash-1 and Hash-2 groups.
-  std::vector<std::uint64_t> repair_group_skewed(std::uint64_t group1, ScrubStats& stats);
+  const Lines& repair_group_skewed(std::uint64_t group1, ScrubStats& stats);
 
   // The whole repair pipeline for a Hash-1 group: repair_group_skewed
   // under SuDoku-Z, repair_group otherwise. Returns lines still
   // uncorrectable.
-  std::vector<std::uint64_t> repair_hash1_group(std::uint64_t group1, ScrubStats& stats);
+  const Lines& repair_hash1_group(std::uint64_t group1, ScrubStats& stats);
 
-  // Recompute one parity line from the stored members (acc: scratch).
-  void rebuild_parity(int which_hash, std::uint64_t group, BitVec& acc);
+  // Recompute one parity line from the stored members.
+  void rebuild_parity(int which_hash, std::uint64_t group);
   void rebuild_parities();
 };
 

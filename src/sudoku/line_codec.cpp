@@ -23,27 +23,26 @@ std::uint32_t LineCodec::ecc_bits() const {
 // move it as words rather than bit by bit.
 static_assert(LineCodec::kDataBits % 64 == 0);
 
-BitVec LineCodec::encode(const BitVec& data) const {
+void LineCodec::encode(const BitVec& data, BitVec& stored) const {
   assert(data.size() == kDataBits);
-  BitVec stored(total_bits());
+  if (stored.size() != total_bits()) stored.resize(total_bits());
   const auto src = data.words();
   auto dst = stored.words();
   for (std::size_t wi = 0; wi < kDataBits / 64; ++wi) dst[wi] = src[wi];
+  // The CRC and check bits are overwritten whole, whatever they held.
   stored.set_bits(kDataBits, kCrcBits, crc_.compute(data, kDataBits));
   if (hamming_) {
     hamming_->encode(stored);
   } else {
     bch_->encode(stored);
   }
-  return stored;
 }
 
-BitVec LineCodec::extract_data(const BitVec& stored) const {
-  BitVec data(kDataBits);
+void LineCodec::extract_data(const BitVec& stored, BitVec& data) const {
+  if (data.size() != kDataBits) data.resize(kDataBits);
   const auto src = stored.words();
   auto dst = data.words();
   for (std::size_t wi = 0; wi < kDataBits / 64; ++wi) dst[wi] = src[wi];
-  return data;
 }
 
 bool LineCodec::crc_ok(const BitVec& stored) const {

@@ -37,11 +37,14 @@ class LineCodec {
   std::uint32_t ecc_bits() const;
   std::uint32_t total_bits() const { return kMessageBits + ecc_bits(); }
 
-  // Encode 512 data bits into a full stored line.
-  BitVec encode(const BitVec& data) const;
+  // Encode 512 data bits into a full stored line. The two-argument forms
+  // overwrite a caller-owned BitVec (resized if needed), not allocating one.
+  void encode(const BitVec& data, BitVec& stored) const;
+  BitVec encode(const BitVec& data) const { BitVec s; encode(data, s); return s; }
 
   // Extract the data field.
-  BitVec extract_data(const BitVec& stored) const;
+  void extract_data(const BitVec& stored, BitVec& data) const;
+  BitVec extract_data(const BitVec& stored) const { BitVec d; extract_data(stored, d); return d; }
 
   // True if the stored CRC matches the CRC recomputed over the data field
   // (paper: the 1-cycle syndrome check on every read).

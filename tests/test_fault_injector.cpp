@@ -295,6 +295,50 @@ TEST(FaultInjector, GroupedDrawPositionsEqualsSampleExact) {
   }
 }
 
+// The Monte-Carlo kernel's i.i.d. path (draw_count, draw_positions, flip
+// the flat positions, scrub in batch_order) must match the FaultBatch path
+// it replaced bit for bit: the same scrub order (batch_order equals the
+// map's iteration order, which sets SuDoku-Z's repair split), the same
+// flipped bits and the same post-call RNG state. Covers a Binomial count,
+// a fixed count and zero faults per seed, on a dense space (many redraws,
+// several faults per line) and a sparse SuDoku-like one.
+TEST(FaultInjector, BatchOrderMatchesFaultBatchIteration) {
+  const auto sorted_positions = [](const FaultBatch& batch, std::uint32_t bits) {
+    std::vector<std::uint64_t> flat;
+    for (const auto& [line, bitsv] : batch)
+      for (const auto b : bitsv) flat.push_back(line * bits + b);
+    std::sort(flat.begin(), flat.end());
+    return flat;
+  };
+  std::vector<std::uint64_t> drawn, order;
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    const bool dense = seed % 2 == 0;
+    const std::uint64_t lines = dense ? 8 : 4096;
+    const std::uint32_t bits = dense ? 16 : 553;
+    const FaultInjector inj(lines, bits, dense ? 0.25 : 1e-4);
+    const std::int64_t fixed = static_cast<std::int64_t>(dense ? seed % 129 : seed % 300);
+    for (const std::int64_t nfixed : {std::int64_t{-1}, fixed, std::int64_t{0}}) {
+      Rng a(seed), b(seed);
+      const FaultBatch want = nfixed < 0 ? inj.sample_interval(a)
+                                         : inj.sample_exact(a, static_cast<std::uint64_t>(nfixed));
+      const std::uint64_t n =
+          nfixed < 0 ? inj.draw_count(b) : static_cast<std::uint64_t>(nfixed);
+      drawn.clear();
+      inj.draw_positions(b, n, drawn);
+      order.assign(3, ~0ull);  // batch_order replaces `out`, it does not append
+      inj.batch_order(drawn, order);
+
+      std::vector<std::uint64_t> want_order;
+      for (const auto& [line, bitsv] : want) want_order.push_back(line);
+      ASSERT_EQ(order, want_order) << "seed " << seed << " fixed " << nfixed;
+      std::sort(drawn.begin(), drawn.end());
+      ASSERT_EQ(drawn, sorted_positions(want, bits)) << "seed " << seed << " fixed " << nfixed;
+      ASSERT_EQ(a.next_u64(), b.next_u64())
+          << "seed " << seed << " fixed " << nfixed << ": RNG state differs";
+    }
+  }
+}
+
 TEST(FaultInjectorDeathTest, MoreFaultsThanBitsAbortsInsteadOfSpinning) {
   // A request for more distinct positions than the array has bits has no
   // valid sample; the rejection sampler used to spin forever. It must now
