@@ -8,12 +8,8 @@
 // --threads value), and with --checkpoint=DIR each level's finished shards
 // persist under their own scope so an interrupted sweep resumes mid-ladder.
 #include <cstdio>
-#include <optional>
 
 #include "bench_util.h"
-#include "exp/checkpoint.h"
-#include "exp/mc_experiments.h"
-#include "exp/metrics_io.h"
 #include "reliability/analytical.h"
 #include "reliability/montecarlo.h"
 
@@ -21,9 +17,8 @@ using namespace sudoku;
 using namespace sudoku::reliability;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv);
-  exp::install_signal_handlers();
-  const std::uint64_t intervals = 400 * args.scale;
+  bench::Run run(argc, argv);
+  const std::uint64_t intervals = 400 * run.args.scale;
 
   bench::print_header("Ablation: which mechanism buys how much reliability?");
   CacheParams c;
@@ -46,13 +41,14 @@ int main(int argc, char** argv) {
   bench::print_subnote("BER chosen so X saturates, Y fails measurably, Z survives —");
   bench::print_subnote("the orders-of-magnitude ladder in one observable regime.");
 
-  std::optional<exp::CheckpointStore> store;
-  if (args.checkpointing()) store.emplace(args.checkpoint_dir, args.resume);
-  exp::ShardRunReport report;
-
-  exp::RunStats total_stats;
-  obs::MetricsRegistry total_metrics;
-  exp::JsonArray rows;
+  bench::Table rows({{"level", "%-9s", "level"},
+                     {"intervals", "%9u", "intervals"},
+                     {"", "", "faults_injected"},
+                     {"due_lines", "%9u", "due_lines"},
+                     {"sdc", "%4u", "sdc_lines"},
+                     {"failures", "%8u", "failure_intervals"},
+                     {"sdr", "%6u", "sdr_repairs"},
+                     {"hash2", "%6u", "hash2_invocations"}});
   for (const auto level : {SudokuLevel::kX, SudokuLevel::kY, SudokuLevel::kZ}) {
     McConfig cfg;
     cfg.cache.num_lines = 1u << 12;
@@ -60,37 +56,11 @@ int main(int argc, char** argv) {
     cfg.cache.ber = 2.5e-4;
     cfg.level = level;
     cfg.max_intervals = intervals;
-    cfg.seed = args.seed_or(5);
-
-    exp::ExpOptions opts;
-    opts.threads = args.threads;
-    opts.checkpoint = store ? &*store : nullptr;
-    opts.checkpoint_scope = std::string("ablation_features.") + to_string(level);
-    opts.report = &report;
-    opts.fleet = args.fleet;
-
-    exp::RunStats stats;
-    const auto r = exp::run_montecarlo_parallel(cfg, opts, &stats);
-    bench::exit_if_interrupted(args);
-    total_stats += stats;
-    total_metrics += r.metrics;
-
-    std::printf("  %-9s due_lines=%-6llu failure_intervals=%llu/%llu  sdr=%llu hash2=%llu\n",
-                to_string(level), static_cast<unsigned long long>(r.due_lines),
-                static_cast<unsigned long long>(r.failure_intervals),
-                static_cast<unsigned long long>(r.intervals),
-                static_cast<unsigned long long>(r.sdr_repairs),
-                static_cast<unsigned long long>(r.hash2_invocations));
-    exp::JsonObject row;
-    row.set("level", to_string(level))
-        .set("intervals", r.intervals)
-        .set("faults_injected", r.faults_injected)
-        .set("due_lines", r.due_lines)
-        .set("sdc_lines", r.sdc_lines)
-        .set("failure_intervals", r.failure_intervals)
-        .set("sdr_repairs", r.sdr_repairs)
-        .set("hash2_invocations", r.hash2_invocations);
-    rows.push(row);
+    cfg.seed = run.args.seed_or(5);
+    const auto r =
+        run.mc(cfg, std::string("ablation_features.") + to_string(level));
+    rows.row(to_string(level), r.intervals, r.faults_injected, r.due_lines,
+             r.sdc_lines, r.failure_intervals, r.sdr_repairs, r.hash2_invocations);
   }
   std::printf("\n  each rung of the ladder cuts failures by orders of magnitude\n");
   std::printf("  (X >> Y >> Z), reproducing the paper's §III->§V progression.\n");
@@ -112,23 +82,13 @@ int main(int argc, char** argv) {
       .set("group_size", 64)
       .set("ber", 2.5e-4)
       .set("intervals_per_level", intervals)
-      .set("seed", args.seed_or(5))
-      .set("scale", args.scale);
+      .set("seed", run.args.seed_or(5))
+      .set("scale", run.args.scale);
   exp::JsonObject result;
   result.set("analytical", analytical)
-      .set("bakeoff", rows)
+      .set("bakeoff", rows.json())
       .set("paper_comparison", comparison);
 
-  bench::emit_artifact(args, "ablation_features", config, result, total_stats,
-                       &total_metrics, &report);
-  if (store || report.degraded()) {
-    std::printf("  fault tolerance: %llu/%llu shards resumed, %llu retries, "
-                "%llu quarantined (%llu trials)\n",
-                static_cast<unsigned long long>(report.shards_resumed),
-                static_cast<unsigned long long>(report.shards_total),
-                static_cast<unsigned long long>(report.shards_retried),
-                static_cast<unsigned long long>(report.shards_quarantined),
-                static_cast<unsigned long long>(report.trials_quarantined));
-  }
+  run.finish("ablation_features", config, result);
   return 0;
 }

@@ -1,7 +1,6 @@
 // Ablation for §III-D: the RAID-Group size trades off parity storage,
 // repair latency, and reliability. Sweeps the group size and prints FIT,
 // PLT storage, and the 9 ns-per-read repair latency for each point.
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -11,32 +10,21 @@ using namespace sudoku;
 using namespace sudoku::reliability;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, bench::analytical_options());
+  bench::Run run(argc, argv, bench::analytical_options());
   bench::print_header("Ablation (§III-D): RAID-Group size tradeoff");
 
-  const auto t0 = std::chrono::steady_clock::now();
-  exp::JsonArray rows;
-  std::printf("\n  %-8s %12s %12s %14s %14s %12s\n", "Group", "X-FIT", "Z-FIT(strict)",
-              "PLT KB/table", "PLT bits/line", "repair us");
+  bench::Table rows({{"Group", "%-8u", "group_size"},
+                     {"X-FIT", "%12s", "x_fit"},
+                     {"Z-FIT(strict)", "%13s", "z_fit_strict"},
+                     {"PLT KB/table", "%14.0f", "plt_kb_per_table"},
+                     {"PLT bits/line", "%14.2f", "plt_bits_per_line"},
+                     {"repair us", "%12.2f", "repair_us"}});
   for (const std::uint32_t g : {64u, 128u, 256u, 512u, 1024u, 2048u}) {
     CacheParams c;
     c.group_size = g;
-    const double plt_kb = static_cast<double>(c.num_groups()) * 553 / 8.0 / 1024.0;
-    const double bits_per_line = 553.0 / g;
-    const double repair_us = g * 9.0 / 1000.0;
-    const double x_fit = sudoku_x_due(c).fit();
-    const double z_fit = sudoku_z_due(c, SdrModel::kStrict).fit();
-    std::printf("  %-8u %12s %12s %14.0f %14.2f %12.2f\n", g,
-                bench::sci(x_fit).c_str(), bench::sci(z_fit).c_str(), plt_kb,
-                bits_per_line, repair_us);
-    exp::JsonObject row;
-    row.set("group_size", g)
-        .set("x_fit", x_fit)
-        .set("z_fit_strict", z_fit)
-        .set("plt_kb_per_table", plt_kb)
-        .set("plt_bits_per_line", bits_per_line)
-        .set("repair_us", repair_us);
-    rows.push(row);
+    rows.row(g, sudoku_x_due(c).fit(), sudoku_z_due(c, SdrModel::kStrict).fit(),
+             static_cast<double>(c.num_groups()) * 553 / 8.0 / 1024.0, 553.0 / g,
+             g * 9.0 / 1000.0);
   }
   std::printf("\n  the paper picks 512: ~128 KB PLT payload per table, <=16 us repair,\n");
   std::printf("  FIT comfortably below target — this sweep shows both directions of\n");
@@ -57,14 +45,9 @@ int main(int argc, char** argv) {
       .set("num_lines", base.num_lines)
       .set("read_latency_ns", 9.0);
   exp::JsonObject result;
-  result.set("rows", rows).set("paper_comparison", comparison);
+  result.set("rows", rows.json()).set("paper_comparison", comparison);
 
-  exp::RunStats stats;
-  stats.trials = 6;
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  stats.threads = 1;
-  stats.shards = 1;
-  bench::emit_artifact(args, "ablation_group_size", config, result, stats);
+  run.stats.trials = 6;
+  run.finish("ablation_group_size", config, result);
   return 0;
 }

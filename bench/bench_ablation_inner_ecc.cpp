@@ -2,7 +2,6 @@
 // with ECC-2." Sweeps the inner-code strength and prints the reliability /
 // storage tradeoff for the whole SuDoku ladder, at the paper's BER and at
 // the degraded Delta=33 operating point where the enhancement matters.
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -16,38 +15,27 @@ namespace {
 
 exp::JsonArray sweep(double ber, const char* label) {
   bench::print_header(std::string("Inner-ECC sweep at ") + label);
-  exp::JsonArray rows;
-  std::printf("\n  %-8s %10s | %12s %12s %14s | %12s\n", "inner", "bits/line",
-              "X FIT", "Y FIT", "Z FIT (strict)", "Z (mech)");
+  bench::Table rows({{"inner", "ECC-%-4d", "inner_ecc_t"},
+                     {"bits/line", "%10u", "overhead_bits"},
+                     {"X FIT", "| %12s", "x_fit"},
+                     {"Y FIT", "%12s", "y_fit"},
+                     {"Z FIT (strict)", "%14s", "z_fit_strict"},
+                     {"Z (mech)", "| %12s", "z_fit_mechanistic"}});
   for (int t = 1; t <= 3; ++t) {
     CacheParams c;
     c.ber = ber;
     c.inner_ecc_t = t;
-    const double x = sudoku_x_due(c).fit();
-    const double y = sudoku_y_due(c).fit();
-    const double z_strict = sudoku_z_due(c, SdrModel::kStrict).fit();
-    const double z_mech = sudoku_z_due(c).fit();
-    std::printf("  ECC-%-4d %10u | %12s %12s %14s | %12s\n", t,
-                c.sudoku_line_bits() - 512, bench::sci(x).c_str(),
-                bench::sci(y).c_str(), bench::sci(z_strict).c_str(),
-                bench::sci(z_mech).c_str());
-    exp::JsonObject row;
-    row.set("inner_ecc_t", t)
-        .set("overhead_bits", c.sudoku_line_bits() - 512)
-        .set("x_fit", x)
-        .set("y_fit", y)
-        .set("z_fit_strict", z_strict)
-        .set("z_fit_mechanistic", z_mech);
-    rows.push(row);
+    rows.row(t, c.sudoku_line_bits() - 512, sudoku_x_due(c).fit(),
+             sudoku_y_due(c).fit(), sudoku_z_due(c, SdrModel::kStrict).fit(),
+             sudoku_z_due(c).fit());
   }
-  return rows;
+  return rows.json();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, bench::analytical_options());
-  const auto t0 = std::chrono::steady_clock::now();
+  bench::Run run(argc, argv, bench::analytical_options());
 
   CacheParams base;
   const auto rows_paper =
@@ -68,12 +56,7 @@ int main(int argc, char** argv) {
   result.set("sweep_paper_operating_point", rows_paper)
       .set("sweep_delta33", rows_d33);
 
-  exp::RunStats stats;
-  stats.trials = 6;
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  stats.threads = 1;
-  stats.shards = 1;
-  bench::emit_artifact(args, "ablation_inner_ecc", config, result, stats);
+  run.stats.trials = 6;
+  run.finish("ablation_inner_ecc", config, result);
   return 0;
 }

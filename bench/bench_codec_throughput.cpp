@@ -11,9 +11,8 @@
 // 64 — including a partial final batch, whose payload is charged at its
 // *actual* width (bench::batched_items), not the nominal 64.
 //
-// Ported onto the shared BenchArgs command line and ResultSink artifact
-// plumbing (bench/out/codec_throughput.json) so the kernel throughput is
-// diffable across PRs like every other bench.
+// Runs through the shared bench::Run harness (bench/out/codec_throughput.json)
+// so the kernel throughput is diffable across PRs like every other bench.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -26,7 +25,6 @@
 #include "codes/crc31.h"
 #include "codes/hamming.h"
 #include "common/rng.h"
-#include "exp/result_sink.h"
 
 using namespace sudoku;
 
@@ -75,15 +73,6 @@ struct Row {
   double speedup_vs_per_line = 0;  // batch rows: vs the per-line fast kernel
 };
 
-void print_row(const Row& r) {
-  std::printf("  %-28s %-22s %9.1f MB/s   %6.2fx", r.code.c_str(), r.kernel.c_str(),
-              r.m.mb_per_s, r.speedup);
-  if (r.speedup_vs_per_line > 0) {
-    std::printf("   (%.2fx vs per-line)", r.speedup_vs_per_line);
-  }
-  std::printf("\n");
-}
-
 // Stream of `lines` random codewords of `nbits` for the batch rows.
 std::vector<BitVec> random_stream(std::size_t lines, std::size_t nbits, Rng& rng) {
   std::vector<BitVec> stream(lines);
@@ -96,13 +85,40 @@ std::vector<BitVec> random_stream(std::size_t lines, std::size_t nbits, Rng& rng
 // exercised on every iteration.
 constexpr std::uint64_t kStreamLines = 200;
 
+// Time a bit-sliced batch zero check over a kStreamLines stream of
+// `nbits`-bit codewords, transpose included, charging the partial tail
+// batch at its actual width.
+template <typename ZeroCheck>
+Measurement time_batches(const std::vector<BitVec>& stream, std::size_t nbits,
+                         std::uint64_t min_iters, const ZeroCheck& zero_check) {
+  BitPlanes planes;
+  volatile std::uint64_t zsink = 0;
+  const std::uint64_t nb = bench::batch_count(kStreamLines, BitPlanes::kMaxLines);
+  const std::uint64_t lines =
+      bench::batched_items(kStreamLines, BitPlanes::kMaxLines, nb);
+  const Measurement m = time_kernel(lines * nbits, min_iters, [&] {
+    std::uint64_t z = 0;
+    for (std::uint64_t b = 0; b < nb; ++b) {
+      const std::uint64_t w = bench::batch_width(kStreamLines, BitPlanes::kMaxLines, b);
+      planes.reset(nbits, w);
+      for (std::uint64_t i = 0; i < w; ++i) {
+        planes.load_line(i, stream[b * BitPlanes::kMaxLines + i].words());
+      }
+      planes.finalize();
+      z ^= zero_check(planes);
+    }
+    zsink = z;
+  });
+  (void)zsink;
+  return m;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = sudoku::bench::BenchArgs::parse(
-      argc, argv, sudoku::bench::single_threaded_options());
-  const std::uint64_t base_iters = 2000 * args.scale;
-  Rng rng(args.seed_or(17));
+  bench::Run run(argc, argv, bench::single_threaded_options());
+  const std::uint64_t base_iters = 2000 * run.args.scale;
+  Rng rng(run.args.seed_or(17));
 
   bench::print_header("Codec kernel throughput (payload MB/s, higher is better)");
   bench::print_subnote(
@@ -110,8 +126,6 @@ int main(int argc, char** argv) {
       " bit-identical (tests/test_codec_kernels.cpp)");
 
   std::vector<Row> rows;
-  exp::RunStats stats;
-  const auto bench_start = std::chrono::steady_clock::now();
 
   // ---- CRC-31 over the 512-bit data field ----
   {
@@ -170,25 +184,9 @@ int main(int argc, char** argv) {
     // Bit-sliced batch syndrome over a 200-line stream (64-line batches +
     // partial tail), including the transpose.
     const auto stream = random_stream(kStreamLines, 553, rng);
-    BitPlanes planes;
-    volatile std::uint64_t zsink = 0;
-    const std::uint64_t nb = bench::batch_count(kStreamLines, BitPlanes::kMaxLines);
-    const std::uint64_t actual_lines =
-        bench::batched_items(kStreamLines, BitPlanes::kMaxLines, nb);
-    const Measurement batch = time_kernel(actual_lines * 553, base_iters / 64, [&] {
-      std::uint64_t z = 0;
-      for (std::uint64_t b = 0; b < nb; ++b) {
-        const std::uint64_t w = bench::batch_width(kStreamLines, BitPlanes::kMaxLines, b);
-        planes.reset(553, w);
-        for (std::uint64_t i = 0; i < w; ++i) {
-          planes.load_line(i, stream[b * BitPlanes::kMaxLines + i].words());
-        }
-        planes.finalize();
-        z ^= h.batch_syndromes_zero(planes);
-      }
-      zsink = z;
-    });
-    (void)zsink;
+    const Measurement batch = time_batches(
+        stream, 553, base_iters / 64,
+        [&](const BitPlanes& planes) { return h.batch_syndromes_zero(planes); });
     rows.push_back({"hamming_543", "batch_sliced", batch,
                     batch.mb_per_s / ref.mb_per_s, batch.mb_per_s / fast.mb_per_s});
   }
@@ -222,25 +220,9 @@ int main(int argc, char** argv) {
                     old_clean.mb_per_s / ref.mb_per_s});
 
     const auto stream = random_stream(kStreamLines, n, rng);
-    BitPlanes planes;
-    volatile std::uint64_t zsink = 0;
-    const std::uint64_t nb = bench::batch_count(kStreamLines, BitPlanes::kMaxLines);
-    const std::uint64_t actual_lines =
-        bench::batched_items(kStreamLines, BitPlanes::kMaxLines, nb);
-    const Measurement batch = time_kernel(actual_lines * n, base_iters / 64, [&] {
-      std::uint64_t z = 0;
-      for (std::uint64_t b = 0; b < nb; ++b) {
-        const std::uint64_t w = bench::batch_width(kStreamLines, BitPlanes::kMaxLines, b);
-        planes.reset(n, w);
-        for (std::uint64_t i = 0; i < w; ++i) {
-          planes.load_line(i, stream[b * BitPlanes::kMaxLines + i].words());
-        }
-        planes.finalize();
-        z ^= bch.batch_syndromes_zero(planes);
-      }
-      zsink = z;
-    });
-    (void)zsink;
+    const Measurement batch = time_batches(
+        stream, n, base_iters / 64,
+        [&](const BitPlanes& planes) { return bch.batch_syndromes_zero(planes); });
     rows.push_back({code, "batch_sliced", batch, batch.mb_per_s / ref.mb_per_s,
                     batch.mb_per_s / fast.mb_per_s});
   }
@@ -265,65 +247,30 @@ int main(int argc, char** argv) {
                     fast.mb_per_s / ref.mb_per_s});
 
     const auto stream = random_stream(kStreamLines, n, rng);
-    BitPlanes planes;
-    volatile std::uint64_t zsink = 0;
-    const std::uint64_t nb = bench::batch_count(kStreamLines, BitPlanes::kMaxLines);
-    const std::uint64_t actual_lines =
-        bench::batched_items(kStreamLines, BitPlanes::kMaxLines, nb);
-    const Measurement batch =
-        time_kernel(actual_lines * n, base_iters / 256, [&] {
-          std::uint64_t z = 0;
-          for (std::uint64_t b = 0; b < nb; ++b) {
-            const std::uint64_t w =
-                bench::batch_width(kStreamLines, BitPlanes::kMaxLines, b);
-            planes.reset(n, w);
-            for (std::uint64_t i = 0; i < w; ++i) {
-              planes.load_line(i, stream[b * BitPlanes::kMaxLines + i].words());
-            }
-            planes.finalize();
-            z ^= bch.batch_syndromes_zero(planes);
-          }
-          zsink = z;
-        });
-    (void)zsink;
+    const Measurement batch = time_batches(
+        stream, n, base_iters / 256,
+        [&](const BitPlanes& planes) { return bch.batch_syndromes_zero(planes); });
     rows.push_back({"bch_hiecc_m14_t6", "batch_sliced", batch,
                     batch.mb_per_s / ref.mb_per_s, batch.mb_per_s / fast.mb_per_s});
   }
 
-  exp::JsonArray json_rows;
+  bench::Table table({{"code", "%-28s", "code"},
+                      {"kernel", "%-22s", "kernel"},
+                      {"", "", "iters"},
+                      {"", "", "seconds"},
+                      {"MB/s", "%9.1f MB/s", "mb_per_s"},
+                      {"speedup", "%7.2fx", "speedup_vs_reference"},
+                      {"vs per-line", "%11.2fx", "speedup_vs_per_line"}});
   for (const auto& r : rows) {
-    print_row(r);
-    stats.trials += r.m.iters;
-    exp::JsonObject row;
-    row.set("code", r.code)
-        .set("kernel", r.kernel)
-        .set("iters", r.m.iters)
-        .set("seconds", r.m.seconds)
-        .set("mb_per_s", r.m.mb_per_s)
-        .set("speedup_vs_reference", r.speedup)
-        .set("speedup_vs_per_line", r.speedup_vs_per_line);
-    json_rows.push(row);
+    table.row(r.code, r.kernel, r.m.iters, r.m.seconds, r.m.mb_per_s, r.speedup,
+              r.speedup_vs_per_line);
+    run.stats.trials += r.m.iters;
   }
-  stats.wall_seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - bench_start)
-                           .count();
-  stats.threads = 1;
-  stats.shards = 1;
 
   exp::JsonObject config;
-  config.set("seed", args.seed_or(17)).set("scale", args.scale);
+  config.set("seed", run.args.seed_or(17)).set("scale", run.args.scale);
   exp::JsonObject result;
-  result.set("rows", json_rows);
-
-  const exp::ResultSink sink(args.out_dir);
-  const auto path = sink.write("codec_throughput", config, result, stats);
-  std::printf("\n  %llu kernel invocations in %.2f s -> %s\n",
-              static_cast<unsigned long long>(stats.trials), stats.wall_seconds,
-              path.string().c_str());
-  if (args.json) {
-    const auto root =
-        exp::ResultSink::make_root("codec_throughput", config, result, stats);
-    std::printf("%s\n", root.str(/*pretty=*/true).c_str());
-  }
+  result.set("rows", table.json());
+  run.finish("codec_throughput", config, result);
   return 0;
 }

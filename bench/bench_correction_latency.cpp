@@ -9,7 +9,6 @@
 //     of the artifact and out of the golden-diff loop.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -110,9 +109,8 @@ BENCHMARK(BM_SkewedHashRepair);
 int main(int argc, char** argv) {
   auto opts = bench::analytical_options();
   opts.extra_flags = {"--gbench"};
-  const auto args = bench::BenchArgs::parse(argc, argv, opts);
+  bench::Run run(argc, argv, opts);
 
-  const auto t0 = std::chrono::steady_clock::now();
   std::printf("=== §VII-B hardware latency model ===\n");
   const double read_ns = 9.0;
   const double raid4_us = 512 * read_ns / 1000.0;
@@ -141,15 +139,10 @@ int main(int argc, char** argv) {
       .set("scrub_bandwidth_pct", bandwidth_pct)
       .set("paper_comparison", comparison);
 
-  exp::RunStats stats;
-  stats.trials = 1;
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  stats.threads = 1;
-  stats.shards = 1;
-  bench::emit_artifact(args, "correction_latency", config, result, stats);
+  run.stats.trials = 1;
+  run.finish("correction_latency", config, result);
 
-  if (args.has_extra("--gbench")) {
+  if (run.args.has_extra("--gbench")) {
     std::printf("\n=== functional implementation timings (host CPU) ===\n");
     int bench_argc = 1;
     benchmark::Initialize(&bench_argc, argv);

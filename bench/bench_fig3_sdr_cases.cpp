@@ -8,13 +8,10 @@
 // sudoku.sdr.case{1,2,3} instruments cross-check the classification: every
 // sampled pattern must land in SDR case 2 (two bad lines in the group),
 // and the repair counters in the artifact show which patterns resolved.
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "exp/metrics_io.h"
-#include "exp/result_sink.h"
 #include "sudoku/controller.h"
 
 using namespace sudoku;
@@ -71,8 +68,7 @@ CaseResult run_case(int overlap, int trials, std::uint64_t base_seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args =
-      bench::BenchArgs::parse(argc, argv, bench::single_threaded_options());
+  bench::Run run(argc, argv, bench::single_threaded_options());
   bench::print_header("Figure 3: SDR scenarios for two 2-fault lines in one RAID-Group");
 
   const double B = 553.0;
@@ -91,27 +87,18 @@ int main(int argc, char** argv) {
               100 * p_both, "0.0004%", "no");
 
   bench::print_header("Functional validation (real SDR machinery, sampled patterns)");
-  const int trials = static_cast<int>(60 * args.scale);
-  const std::uint64_t base_seed = args.seed_or(1000);
+  const int trials = static_cast<int>(60 * run.args.scale);
+  const std::uint64_t base_seed = run.args.seed_or(1000);
 
-  obs::MetricsRegistry metrics;
-  exp::JsonArray rows;
-  std::uint64_t total_trials = 0;
-  const auto t0 = std::chrono::steady_clock::now();
+  bench::Table rows({{"overlap", "%7d", "overlap"},
+                     {"trials", "%7d", "trials"},
+                     {"repaired", "%9d", "repaired"},
+                     {"expected", "%9d", "expected_repaired"}});
   for (int overlap = 0; overlap <= 2; ++overlap) {
-    const auto r = run_case(overlap, trials, base_seed, &metrics);
-    std::printf("  overlap=%d: repaired %d / %d   (expected: %s)\n", overlap,
-                r.repaired, r.trials, overlap == 2 ? "0" : "all");
-    exp::JsonObject row;
-    row.set("overlap", overlap)
-        .set("trials", r.trials)
-        .set("repaired", r.repaired)
-        .set("expected_repaired", overlap == 2 ? 0 : r.trials);
-    rows.push(row);
-    total_trials += static_cast<std::uint64_t>(r.trials);
+    const auto r = run_case(overlap, trials, base_seed, &run.metrics());
+    rows.row(overlap, r.trials, r.repaired, overlap == 2 ? 0 : r.trials);
+    run.stats.trials += static_cast<std::uint64_t>(r.trials);
   }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
   exp::JsonObject config;
   config.set("num_lines", std::uint64_t{1024})
@@ -122,20 +109,8 @@ int main(int argc, char** argv) {
   result.set("p_no_overlap", p_none)
       .set("p_one_overlap", p_one)
       .set("p_both_overlap", p_both)
-      .set("cases", rows);
+      .set("cases", rows.json());
 
-  exp::RunStats stats;
-  stats.trials = total_trials;
-  stats.wall_seconds = wall;
-  stats.threads = 1;
-  stats.shards = 1;
-  const exp::ResultSink sink(args.out_dir);
-  const auto path = sink.write("fig3_sdr_cases", config, result, stats, &metrics);
-  std::printf("\n  artifact: %s\n", path.string().c_str());
-  if (args.json) {
-    const auto root =
-        exp::ResultSink::make_root("fig3_sdr_cases", config, result, stats, &metrics);
-    std::printf("%s\n", root.str(/*pretty=*/true).c_str());
-  }
+  run.finish("fig3_sdr_cases", config, result);
   return 0;
 }

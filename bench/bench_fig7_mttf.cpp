@@ -11,10 +11,10 @@
 // conditional failure given the fault count is observable, and lifts to
 // the cache through independent-group composition — exactly how the
 // analytical models compose (log_cache_of_units).
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <optional>
+#include <iterator>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/prob.h"
@@ -25,10 +25,9 @@ using namespace sudoku;
 using namespace sudoku::reliability;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv);
+  bench::Run run(argc, argv);
   bench::print_header("Figure 7: Cache failure probability vs time (DUE+SDC)");
 
-  const auto t0 = std::chrono::steady_clock::now();
   CacheParams c;
   struct Row {
     const char* name;
@@ -46,35 +45,32 @@ int main(int argc, char** argv) {
       {"SuDoku-Z (mechanistic)", sudoku_total(c, 'Z').mttf_hours(), "8.25e12 h"},
   };
 
-  exp::JsonArray scheme_rows;
-  std::printf("\n  %-24s %16s %22s\n", "Scheme", "MTTF (ours)", "paper");
-  for (const auto& r : rows) {
-    std::printf("  %-24s %13s h  %22s\n", r.name, bench::sci(r.mttf_h).c_str(), r.paper);
-  }
+  bench::Table schemes({{"Scheme", "%-24s", "scheme"},
+                        {"MTTF (ours)", "%13s h", "mttf_hours"},
+                        {"paper", "%22s", "paper"}});
+  std::vector<exp::JsonObject*> scheme_rows;
+  for (const auto& r : rows) scheme_rows.push_back(&schemes.row(r.name, r.mttf_h, r.paper));
 
-  std::printf("\n  Failure probability series P(t) = 1 - exp(-t/MTTF):\n");
-  std::printf("  %-24s", "t");
+  std::printf("\n  Failure probability series P(t) = 1 - exp(-t/MTTF):");
   const double times_h[] = {1.0 / 3600, 1.0, 24.0, 720.0, 8760.0, 8.76e7};
-  const char* labels[] = {"1s", "1h", "1d", "1mo", "1yr", "1e4yr"};
-  for (const auto* l : labels) std::printf(" %10s", l);
-  std::printf("\n");
-  for (const auto& r : rows) {
-    std::printf("  %-24s", r.name);
+  bench::Table series_table({{"t", "%-24s", ""},
+                             {"1s", "%10s", ""},
+                             {"1h", "%10s", ""},
+                             {"1d", "%10s", ""},
+                             {"1mo", "%10s", ""},
+                             {"1yr", "%10s", ""},
+                             {"1e4yr", "%10s", ""}});
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    double p[std::size(times_h)];
     exp::JsonArray series;
-    for (const double t : times_h) {
-      const double p = -std::expm1(-t / r.mttf_h);
-      std::printf(" %10s", bench::sci(p).c_str());
+    for (std::size_t t = 0; t < std::size(times_h); ++t) {
+      p[t] = -std::expm1(-times_h[t] / rows[i].mttf_h);
       exp::JsonObject point;
-      point.set("t_hours", t).set("p_fail", p);
+      point.set("t_hours", times_h[t]).set("p_fail", p[t]);
       series.push(point);
     }
-    std::printf("\n");
-    exp::JsonObject row;
-    row.set("scheme", r.name)
-        .set("mttf_hours", r.mttf_h)
-        .set("paper", r.paper)
-        .set("series", series);
-    scheme_rows.push(row);
+    series_table.row(rows[i].name, p[0], p[1], p[2], p[3], p[4], p[5]);
+    scheme_rows[i]->set("series", series);
   }
 
   const double ratio =
@@ -99,8 +95,8 @@ int main(int argc, char** argv) {
   recfg.base.cache.group_size = static_cast<std::uint32_t>(group_lines);
   recfg.base.cache.ber = c.ber;  // the operating point — no acceleration
   recfg.base.level = SudokuLevel::kX;
-  recfg.base.seed = args.seed_or(41);
-  recfg.trials = 20000 * args.scale;
+  recfg.base.seed = run.args.seed_or(41);
+  recfg.trials = 20000 * run.args.scale;
   // SuDoku-X cannot fail with fewer than 4 faults: a DUE needs >= 2 lines
   // carrying >= 2 faults each (RAID-4 repairs a single multi-fault line),
   // and an SDC miscorrection needs 7 faults in one line. Excluding the
@@ -108,19 +104,7 @@ int main(int argc, char** argv) {
   // zero-failure) variance contribution.
   recfg.min_count = 4;
 
-  std::optional<exp::CheckpointStore> store;
-  if (args.checkpointing()) store.emplace(args.checkpoint_dir, args.resume);
-  exp::ShardRunReport report;
-  exp::ExpOptions eopts;
-  eopts.threads = args.threads;
-  eopts.checkpoint = store ? &*store : nullptr;
-  eopts.checkpoint_scope = "fig7_rare_event";
-  eopts.report = &report;
-  eopts.fleet = args.fleet;
-
-  exp::RunStats stats;
-  const auto est = exp::run_rare_event(recfg, eopts, &stats);
-  bench::exit_if_interrupted(args);
+  const auto est = run.rare(recfg, "fig7_rare_event");
 
   CacheParams cg = c;
   cg.num_lines = group_lines;
@@ -190,14 +174,12 @@ int main(int argc, char** argv) {
       .set("rare_event_trials", recfg.trials)
       .set("rare_event_seed", recfg.base.seed);
   exp::JsonObject result;
-  result.set("schemes", scheme_rows)
+  result.set("schemes", schemes.json())
       .set("z_strict_vs_ecc6_ratio", ratio)
       .set("z_mechanistic_vs_ecc6_ratio", ratio_mech)
       .set("rare_event", rare)
       .set("paper_comparison", comparison);
 
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  bench::emit_artifact(args, "fig7_mttf", config, result, stats, nullptr, &report);
+  run.finish("fig7_mttf", config, result);
   return 0;
 }

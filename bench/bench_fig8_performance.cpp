@@ -5,90 +5,38 @@
 // SuDoku-configured runs' sim.* / cache.* series accumulate into the
 // bench/out artifact's metrics section (the Ideal runs stay unmetered so
 // the counters describe the protected configuration only).
-#include <chrono>
 #include <cstdio>
-#include <string>
-#include <vector>
 
 #include "bench_util.h"
-#include "exp/metrics_io.h"
-#include "exp/result_sink.h"
-#include "sim/timing_sim.h"
 
 using namespace sudoku;
-using namespace sudoku::sim;
-
-namespace {
-
-double run_pair(const std::vector<std::string>& benchmarks, std::uint64_t instr,
-                std::uint64_t seed, obs::MetricsRegistry& total_metrics) {
-  SimConfig with;
-  with.instructions_per_core = instr;
-  with.seed = seed;
-  SimConfig ideal = with;
-  ideal.sudoku.enabled = false;
-  auto r_with = TimingSimulator(with).run(benchmarks);
-  const auto r_ideal = TimingSimulator(ideal).run(benchmarks);
-  total_metrics += r_with.metrics;
-  return r_with.total_time_ns / r_ideal.total_time_ns;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
-  const auto args =
-      bench::BenchArgs::parse(argc, argv, bench::single_threaded_options());
-  const std::uint64_t instr = 400'000 * args.scale;
-  const std::uint64_t seed = args.seed_or(1);
+  bench::Run run(argc, argv, bench::single_threaded_options());
+  const std::uint64_t instr = 400'000 * run.args.scale;
+  const std::uint64_t seed = run.args.seed_or(1);
 
   bench::print_header("Figure 8: Execution time of SuDoku-Z normalized to Ideal");
   bench::print_subnote("Table VI system: 8 cores @3.2GHz, ROB 160, width 4, 64MB LLC,");
   bench::print_subnote("read 9ns / write 18ns, DDR3-800 x2 channels.");
-  std::printf("  (%llu instructions/core; synthetic traces, see DESIGN.md)\n\n",
+  std::printf("  (%llu instructions/core; synthetic traces, see DESIGN.md)\n",
               static_cast<unsigned long long>(instr));
 
-  obs::MetricsRegistry total_metrics;
-  exp::JsonArray rows;
+  const auto workloads = bench::paper_workloads();
+  bench::Table rows({{"benchmark", "%-16s", "workload"},
+                     {"suite", "%-8s", "suite"},
+                     {"norm. time", "%12.5f", "normalized_time"}});
   double sum = 0.0;
-  int count = 0;
-  std::uint64_t total_instr = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  std::printf("  %-16s %-8s %12s\n", "benchmark", "suite", "norm. time");
-  for (const auto& b : benchmark_roster()) {
-    const double ratio = run_pair({b.name}, instr, seed, total_metrics);
-    std::printf("  %-16s %-8s %12.5f\n", b.name.c_str(), b.suite.c_str(), ratio);
-    exp::JsonObject row;
-    row.set("workload", b.name).set("suite", b.suite).set("normalized_time", ratio);
-    rows.push(row);
+  for (const auto& w : workloads) {
+    const auto pair = bench::run_sim_pair(w.benchmarks, instr, seed);
+    run.metrics() += pair.with.metrics;
+    const double ratio = pair.with.total_time_ns / pair.ideal.total_time_ns;
+    rows.row(w.label, w.suite, ratio);
     sum += ratio;
-    ++count;
-    total_instr += instr * 8;  // 8 cores, with + ideal counted once
+    run.stats.trials += instr * 8;  // 8 cores, with + ideal counted once
   }
-  // Four MIX workloads, as in the paper.
-  const std::vector<std::vector<std::string>> mixes = {
-      {"mcf", "gcc", "lbm", "swaptions", "comm1", "mummer", "x264", "soplex"},
-      {"libquantum", "omnetpp", "canneal", "hmmer", "comm2", "tigr", "vips", "astar"},
-      {"bwaves", "xalancbmk", "streamcluster", "gobmk", "comm3", "fasta-dna",
-       "bodytrack", "milc"},
-      {"GemsFDTD", "sjeng", "dedup", "perlbench", "comm4", "sphinx3", "ferret",
-       "leslie3d"},
-  };
-  for (std::size_t m = 0; m < mixes.size(); ++m) {
-    const double ratio = run_pair(mixes[m], instr, seed, total_metrics);
-    std::printf("  MIX%-13zu %-8s %12.5f\n", m + 1, "MIX", ratio);
-    exp::JsonObject row;
-    row.set("workload", "MIX" + std::to_string(m + 1))
-        .set("suite", "MIX")
-        .set("normalized_time", ratio);
-    rows.push(row);
-    sum += ratio;
-    ++count;
-    total_instr += instr * 8;
-  }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
-  const double avg = sum / count;
+  const double avg = sum / static_cast<double>(workloads.size());
   std::printf("\n  GEOMEAN-ish average normalized time: %.5f  (paper: ~1.0010-1.0015)\n",
               avg);
   std::printf("  average slowdown: %.3f%%  (paper: 0.10-0.15%%)\n",
@@ -98,25 +46,12 @@ int main(int argc, char** argv) {
   config.set("instructions_per_core", instr)
       .set("num_cores", std::uint64_t{8})
       .set("seed", seed)
-      .set("scale", args.scale);
+      .set("scale", run.args.scale);
   exp::JsonObject result;
-  result.set("workloads", rows)
+  result.set("workloads", rows.json())
       .set("average_normalized_time", avg)
       .set("average_slowdown_percent", (avg - 1.0) * 100.0);
 
-  exp::RunStats stats;
-  stats.trials = total_instr;
-  stats.wall_seconds = wall;
-  stats.threads = 1;
-  stats.shards = 1;
-  const exp::ResultSink sink(args.out_dir);
-  const auto path = sink.write("fig8_performance", config, result, stats,
-                               &total_metrics);
-  std::printf("  artifact: %s\n", path.string().c_str());
-  if (args.json) {
-    const auto root = exp::ResultSink::make_root("fig8_performance", config, result,
-                                                 stats, &total_metrics);
-    std::printf("%s\n", root.str(/*pretty=*/true).c_str());
-  }
+  run.finish("fig8_performance", config, result);
   return 0;
 }

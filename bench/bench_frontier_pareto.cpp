@@ -23,15 +23,12 @@
 // any --threads and across checkpoint/resume/fleet runs
 // (scripts/ci_frontier_smoke.sh enforces this against bench/golden).
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "baselines/region_cache.h"
 #include "bench_util.h"
 #include "codes/ecc_design.h"
-#include "exp/checkpoint.h"
-#include "exp/mc_experiments.h"
 #include "reliability/analytical.h"
 #include "sim/timing_sim.h"
 
@@ -66,8 +63,8 @@ struct PerfPoint {
 int main(int argc, char** argv) {
   bench::BenchArgs::Options opts;
   opts.extra_flags = {"--quick"};
-  const auto args = bench::BenchArgs::parse(argc, argv, opts);
-  exp::install_signal_handlers();
+  bench::Run run(argc, argv, opts);
+  const auto& args = run.args;
   const bool quick = args.has_extra("--quick");
   const std::string bench_name =
       quick ? "frontier_pareto_quick" : "frontier_pareto";
@@ -98,14 +95,22 @@ int main(int argc, char** argv) {
               points.size(), frontier_codeword_bytes().size(),
               frontier_strengths().size(),
               static_cast<unsigned long long>(seed));
-  std::printf("\n  %-9s %3s %3s %7s %9s %9s %11s %12s\n", "design", "t", "m",
-              "parity", "cap_ovh", "read_amp", "FIT", "MTTF_h");
+  bench::Table designs({{"design", "%-9s", "name"},
+                        {"", "", "data_bytes"},
+                        {"t", "%3d", "t"},
+                        {"m", "%3d", "m"},
+                        {"parity", "%7u", "parity_bits"},
+                        {"", "", "codeword_bits"},
+                        {"cap_ovh", "%9.5f", "capacity_overhead"},
+                        {"read_amp", "%9.2f", "read_amplification"},
+                        {"", "", "write_amplification"},
+                        {"FIT", "%11s", "fit"},
+                        {"MTTF_h", "%12s", "mttf_hours"}});
   for (const auto& p : points) {
-    std::printf("  %-9s %3d %3d %7u %9.5f %9.2f %11s %12s\n",
-                p.design.name.c_str(), p.design.t, p.design.m,
-                p.design.parity_bits, p.design.capacity_overhead(),
-                p.design.read_amplification(), bench::sci(p.fit).c_str(),
-                bench::sci(p.mttf_hours).c_str());
+    const EccDesign& d = p.design;
+    designs.row(d.name, d.data_bytes, d.t, d.m, d.parity_bits, d.codeword_bits,
+                d.capacity_overhead(), d.read_amplification(),
+                d.write_amplification(), p.fit, p.mttf_hours);
   }
 
   // ---- Monte-Carlo cross-check (the engine-backed section) --------------
@@ -121,20 +126,15 @@ int main(int argc, char** argv) {
   const std::uint64_t mc_lines = 256;  // multiple of every lines_per_codeword
   const std::uint64_t mc_intervals = (quick ? 40 : 160) * args.scale;
 
-  std::optional<exp::CheckpointStore> store;
-  if (args.checkpointing()) store.emplace(args.checkpoint_dir, args.resume);
-  exp::ShardRunReport report;
-  exp::ExpOptions base_opts;
-  base_opts.threads = args.threads;
-  base_opts.checkpoint = store ? &*store : nullptr;
-  base_opts.report = &report;
-  base_opts.fleet = args.fleet;
-
-  exp::RunStats total_stats;
-  obs::MetricsRegistry total_metrics;
-  exp::JsonArray mc_rows;
-  std::printf("\n  %-9s %9s %9s %12s %12s %7s\n", "design", "ber",
-              "intervals", "measured/iv", "predicted/iv", "ratio");
+  bench::Table mc_rows({{"design", "%-9s", "design"},
+                        {"ber", "%9s", "ber"},
+                        {"intervals", "%9u", "intervals"},
+                        {"due", "%6u", "due_units"},
+                        {"sdc", "%4u", "sdc_units"},
+                        {"", "", "corrected"},
+                        {"measured/iv", "%12.3f", "measured_due_per_interval"},
+                        {"predicted/iv", "%12.3f", "predicted_due_per_interval"},
+                        {"ratio", "%7.3f", "ratio"}});
   for (const auto& name : mc_names) {
     const DesignPoint* pt = nullptr;
     for (const auto& p : points) {
@@ -147,15 +147,9 @@ int main(int argc, char** argv) {
     mc.ber = ber;
     mc.max_intervals = mc_intervals;
     mc.seed = seed;
-    exp::ExpOptions cell_opts = base_opts;
-    cell_opts.checkpoint_scope = bench_name + ".mc." + name;
-    exp::RunStats stats;
-    const auto r = exp::run_baseline_mc_parallel(
+    const auto r = run.baseline(
         [&] { return std::make_unique<baselines::RegionEccCache>(mc_lines, d); },
-        mc, cell_opts, &stats);
-    bench::exit_if_interrupted(args);
-    total_stats += stats;
-    total_metrics += r.metrics;
+        mc, bench_name + ".mc." + name);
 
     const double regions =
         static_cast<double>(mc_lines) / d.lines_per_codeword();
@@ -167,21 +161,8 @@ int main(int argc, char** argv) {
     const double measured = static_cast<double>(r.due_units + r.sdc_units) /
                             static_cast<double>(r.intervals);
     const double ratio = predicted > 0.0 ? measured / predicted : 0.0;
-    std::printf("  %-9s %9s %9llu %12.3f %12.3f %7.3f\n", name.c_str(),
-                bench::sci(ber).c_str(),
-                static_cast<unsigned long long>(r.intervals), measured,
-                predicted, ratio);
-    exp::JsonObject jr;
-    jr.set("design", name)
-        .set("ber", ber)
-        .set("intervals", r.intervals)
-        .set("due_units", r.due_units)
-        .set("sdc_units", r.sdc_units)
-        .set("corrected", r.corrected)
-        .set("measured_due_per_interval", measured)
-        .set("predicted_due_per_interval", predicted)
-        .set("ratio", ratio);
-    mc_rows.push(jr);
+    mc_rows.row(name, ber, r.intervals, r.due_units, r.sdc_units, r.corrected,
+                measured, predicted, ratio);
   }
 
   // ---- timing: region-ECC data path per (workload x design) -------------
@@ -215,7 +196,7 @@ int main(int argc, char** argv) {
     sim::SimConfig ideal = sim_cfg;
     ideal.region.enabled = false;
     const auto base = sim::TimingSimulator(ideal).run({w.spec});
-    bench::exit_if_interrupted(args);
+    run.exit_if_interrupted();
 
     std::vector<PerfPoint> perf(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -226,7 +207,7 @@ int main(int argc, char** argv) {
       cfg.region.parity_bits = d.parity_bits;
       cfg.region.decode_ns = decode_ns_for(d);
       const auto r = sim::TimingSimulator(cfg).run({w.spec});
-      bench::exit_if_interrupted(args);
+      run.exit_if_interrupted();
       PerfPoint& pp = perf[i];
       pp.time_ns = r.total_time_ns;
       pp.relative_performance =
@@ -260,32 +241,26 @@ int main(int argc, char** argv) {
 
     std::printf("\n  workload %-10s (ideal %.0f us)\n", w.label.c_str(),
                 base.total_time_ns / 1000.0);
-    std::printf("  %-9s %9s %9s %9s %9s %7s\n", "design", "rel_perf",
-                "bw_amp", "buf_hit", "opens", "pareto");
-    exp::JsonArray point_rows;
+    bench::Table point_rows({{"design", "%-9s", "design"},
+                             {"", "", "fit"},
+                             {"", "", "capacity_overhead"},
+                             {"", "", "time_ns"},
+                             {"rel_perf", "%9.4f", "relative_performance"},
+                             {"bw_amp", "%9.3f", "bandwidth_amplification"},
+                             {"buf_hit", "%9.3f", "buffer_hit_rate"},
+                             {"opens", "%9u", "region_opens"},
+                             {"pareto", "%7s", "pareto"}});
     for (std::size_t i = 0; i < perf.size(); ++i) {
       const auto& pp = perf[i];
-      std::printf("  %-9s %9.4f %9.3f %9.3f %9llu %7s\n",
-                  points[i].design.name.c_str(), pp.relative_performance,
-                  pp.bandwidth_amplification, pp.buffer_hit_rate,
-                  static_cast<unsigned long long>(pp.region_opens),
-                  pp.pareto ? "*" : "");
-      exp::JsonObject jp;
-      jp.set("design", points[i].design.name)
-          .set("fit", points[i].fit)
-          .set("capacity_overhead", points[i].design.capacity_overhead())
-          .set("time_ns", pp.time_ns)
-          .set("relative_performance", pp.relative_performance)
-          .set("bandwidth_amplification", pp.bandwidth_amplification)
-          .set("buffer_hit_rate", pp.buffer_hit_rate)
-          .set("region_opens", pp.region_opens)
-          .set("pareto", pp.pareto);
-      point_rows.push(jp);
+      point_rows.row(points[i].design.name, points[i].fit,
+                     points[i].design.capacity_overhead(), pp.time_ns,
+                     pp.relative_performance, pp.bandwidth_amplification,
+                     pp.buffer_hit_rate, pp.region_opens, pp.pareto);
     }
     exp::JsonObject jw;
     jw.set("workload", w.label)
         .set("ideal_time_ns", base.total_time_ns)
-        .set("points", point_rows);
+        .set("points", point_rows.json());
     workload_rows.push(jw);
   }
 
@@ -311,32 +286,11 @@ int main(int argc, char** argv) {
       .set("seed", seed)
       .set("quick", quick);
 
-  exp::JsonArray design_rows;
-  for (const auto& p : points) {
-    exp::JsonObject jd;
-    jd.set("name", p.design.name)
-        .set("data_bytes", p.design.data_bytes)
-        .set("t", p.design.t)
-        .set("m", p.design.m)
-        .set("parity_bits", p.design.parity_bits)
-        .set("codeword_bits", p.design.codeword_bits)
-        .set("capacity_overhead", p.design.capacity_overhead())
-        .set("read_amplification", p.design.read_amplification())
-        .set("write_amplification", p.design.write_amplification())
-        .set("fit", p.fit)
-        .set("mttf_hours", p.mttf_hours);
-    design_rows.push(jd);
-  }
-
   exp::JsonObject result;
-  result.set("designs", design_rows)
-      .set("mc_validation", mc_rows)
+  result.set("designs", designs.json())
+      .set("mc_validation", mc_rows.json())
       .set("workloads", workload_rows);
 
-  bench::emit_artifact(args, bench_name, config, result, total_stats,
-                       &total_metrics, &report);
-  std::printf("  %llu MC trials in %.2f s (%u threads)\n",
-              static_cast<unsigned long long>(total_stats.trials),
-              total_stats.wall_seconds, total_stats.threads);
+  run.finish(bench_name, config, result);
   return 0;
 }

@@ -19,7 +19,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,9 +26,6 @@
 #include "baselines/hiecc_cache.h"
 #include "baselines/mc_runner.h"
 #include "bench_util.h"
-#include "exp/checkpoint.h"
-#include "exp/mc_experiments.h"
-#include "exp/metrics_io.h"
 #include "faults/scenario.h"
 #include "reliability/montecarlo.h"
 #include "service/service.h"
@@ -37,17 +33,6 @@
 using namespace sudoku;
 
 namespace {
-
-struct Cell {
-  std::string scenario;
-  std::string scheme;
-  std::uint64_t intervals = 0;
-  std::uint64_t failure_intervals = 0;
-  std::uint64_t due = 0;
-  std::uint64_t sdc = 0;
-  std::uint64_t corrected = 0;
-  std::uint64_t faults = 0;
-};
 
 BitVec service_payload(std::uint64_t addr) {
   BitVec data(512);
@@ -63,8 +48,8 @@ BitVec service_payload(std::uint64_t addr) {
 int main(int argc, char** argv) {
   bench::BenchArgs::Options opts;
   opts.extra_flags = {"--quick"};
-  const auto args = bench::BenchArgs::parse(argc, argv, opts);
-  exp::install_signal_handlers();
+  bench::Run run(argc, argv, opts);
+  const auto& args = run.args;
   const bool quick = args.has_extra("--quick");
   const std::string bench_name =
       quick ? "scenario_matrix_quick" : "scenario_matrix";
@@ -80,18 +65,6 @@ int main(int argc, char** argv) {
       quick ? std::vector<std::string>{"iid", "stuck", "clustered", "mixed"}
             : faults::ScenarioSpec::builtin_names();
 
-  std::optional<exp::CheckpointStore> store;
-  if (args.checkpointing()) store.emplace(args.checkpoint_dir, args.resume);
-  exp::ShardRunReport report;
-  exp::ExpOptions base_opts;
-  base_opts.threads = args.threads;
-  base_opts.checkpoint = store ? &*store : nullptr;
-  base_opts.report = &report;
-  base_opts.fleet = args.fleet;
-
-  exp::RunStats total_stats;
-  obs::MetricsRegistry total_metrics;
-  std::vector<Cell> cells;
   // Scenarios must outlive the parallel runs that share them; a deque keeps
   // references stable while cells append.
   std::deque<faults::FaultScenario> live_scenarios;
@@ -109,17 +82,23 @@ int main(int argc, char** argv) {
               scenario_names.size(),
               static_cast<unsigned long long>(max_intervals),
               static_cast<unsigned long long>(seed));
-  std::printf("\n  %-12s %-10s %10s %8s %6s %10s\n", "scenario", "scheme",
-              "fail_ivals", "due", "sdc", "faults");
-
-  const auto print_cell = [](const Cell& c) {
-    std::printf("  %-12s %-10s %7llu/%llu %8llu %6llu %10llu\n",
-                c.scenario.c_str(), c.scheme.c_str(),
-                static_cast<unsigned long long>(c.failure_intervals),
-                static_cast<unsigned long long>(c.intervals),
-                static_cast<unsigned long long>(c.due),
-                static_cast<unsigned long long>(c.sdc),
-                static_cast<unsigned long long>(c.faults));
+  bench::Table matrix({{"scenario", "%-12s", "scenario"},
+                       {"scheme", "%-10s", "scheme"},
+                       {"intervals", "%9u", "intervals"},
+                       {"fail_ivals", "%10u", "failure_intervals"},
+                       {"due", "%8u", "due"},
+                       {"sdc", "%6u", "sdc"},
+                       {"corrected", "%10u", "corrected"},
+                       {"faults", "%10u", "faults_injected"}});
+  // (scenario, scheme) -> {failure intervals, sdc}, for the comparison.
+  std::map<std::pair<std::string, std::string>, std::pair<std::uint64_t, std::uint64_t>>
+      outcomes;
+  const auto record = [&](const std::string& scenario, const std::string& scheme,
+                          std::uint64_t intervals, std::uint64_t failures,
+                          std::uint64_t due, std::uint64_t sdc,
+                          std::uint64_t corrected, std::uint64_t faults) {
+    matrix.row(scenario, scheme, intervals, failures, due, sdc, corrected, faults);
+    outcomes[{scenario, scheme}] = {failures, sdc};
   };
 
   for (const auto& scenario_name : scenario_names) {
@@ -138,19 +117,10 @@ int main(int argc, char** argv) {
       mc.max_intervals = max_intervals;
       mc.seed = seed;
       mc.scenario = &sudoku_scn;
-      exp::ExpOptions cell_opts = base_opts;
-      cell_opts.checkpoint_scope =
-          bench_name + "." + scenario_name + "." + to_string(level);
-      exp::RunStats stats;
-      const auto r = exp::run_montecarlo_parallel(mc, cell_opts, &stats);
-      bench::exit_if_interrupted(args);
-      total_stats += stats;
-      total_metrics += r.metrics;
-      Cell cell{scenario_name,   to_string(level),  r.intervals,
-                r.failure_intervals, r.due_lines,   r.sdc_lines,
-                r.ecc1_corrections,  r.faults_injected};
-      print_cell(cell);
-      cells.push_back(std::move(cell));
+      const auto r =
+          run.mc(mc, bench_name + "." + scenario_name + "." + to_string(level));
+      record(scenario_name, to_string(level), r.intervals, r.failure_intervals,
+             r.due_lines, r.sdc_lines, r.ecc1_corrections, r.faults_injected);
     }
 
     const auto run_baseline = [&](const std::string& scheme_name,
@@ -162,20 +132,10 @@ int main(int argc, char** argv) {
       bc.max_intervals = max_intervals;
       bc.seed = seed;
       bc.scenario = &scn;
-      exp::ExpOptions cell_opts = base_opts;
-      cell_opts.checkpoint_scope =
-          bench_name + "." + scenario_name + "." + scheme_name;
-      exp::RunStats stats;
-      const auto r =
-          exp::run_baseline_mc_parallel(factory, bc, cell_opts, &stats);
-      bench::exit_if_interrupted(args);
-      total_stats += stats;
-      total_metrics += r.metrics;
-      Cell cell{scenario_name,   scheme_name,  r.intervals,
-                r.failure_intervals, r.due_units, r.sdc_units,
-                r.corrected,         r.faults_injected};
-      print_cell(cell);
-      cells.push_back(std::move(cell));
+      const auto r = run.baseline(
+          factory, bc, bench_name + "." + scenario_name + "." + scheme_name);
+      record(scenario_name, scheme_name, r.intervals, r.failure_intervals,
+             r.due_units, r.sdc_units, r.corrected, r.faults_injected);
     };
 
     run_baseline(
@@ -187,60 +147,32 @@ int main(int argc, char** argv) {
         [&] { return std::make_unique<baselines::EccKCache>(lines, 4); });
   }
 
-  exp::JsonArray rows;
-  std::map<std::pair<std::string, std::string>, const Cell*> by_key;
-  for (const auto& c : cells) {
-    exp::JsonObject jr;
-    jr.set("scenario", c.scenario)
-        .set("scheme", c.scheme)
-        .set("intervals", c.intervals)
-        .set("failure_intervals", c.failure_intervals)
-        .set("due", c.due)
-        .set("sdc", c.sdc)
-        .set("corrected", c.corrected)
-        .set("faults_injected", c.faults);
-    rows.push(jr);
-    by_key[{c.scenario, c.scheme}] = &c;
-  }
-
   // Paper-style comparison rows: §VI claims SuDoku's scrub-and-repair
   // pipeline tolerates permanent faults as a by-product of its transient
   // machinery; the per-scenario ordering against the per-line baselines is
   // the checkable form of that claim.
-  exp::JsonArray comparison;
   bench::print_header("Paper comparison (§VI / §VII)");
+  bench::Table comparison({{"scenario", "%-12s", "scenario"},
+                           {"", "", "claim"},
+                           {"SuDoku-Z", "%9u", "sudoku_z_failures"},
+                           {"ECC-4", "%7u", "ecc4_failures"},
+                           {"Hi-ECC", "%7u", "hiecc_failures"},
+                           {"Z sdc", "%6u", "sudoku_z_sdc"},
+                           {"holds", "%6s", "holds"}});
   for (const auto& scenario_name : scenario_names) {
-    const Cell* z = by_key.count({scenario_name, "SuDoku-Z"})
-                        ? by_key[{scenario_name, "SuDoku-Z"}]
-                        : nullptr;
-    const Cell* ecck = by_key.count({scenario_name, "ECC-4"})
-                           ? by_key[{scenario_name, "ECC-4"}]
-                           : nullptr;
-    const Cell* hiecc = by_key.count({scenario_name, "Hi-ECC"})
-                            ? by_key[{scenario_name, "Hi-ECC"}]
-                            : nullptr;
-    if (z == nullptr || ecck == nullptr || hiecc == nullptr) continue;
-    const bool holds = z->failure_intervals <= ecck->failure_intervals &&
-                       z->sdc == 0;
-    exp::JsonObject jr;
-    jr.set("scenario", scenario_name)
-        .set("claim",
-             scenario_name == "stuck"
-                 ? "§VI: SuDoku tolerates permanent faults via scrub+repair"
-                 : "SuDoku-Z fails no more often than per-line ECC-4")
-        .set("sudoku_z_failures", z->failure_intervals)
-        .set("ecc4_failures", ecck->failure_intervals)
-        .set("hiecc_failures", hiecc->failure_intervals)
-        .set("sudoku_z_sdc", z->sdc)
-        .set("holds", holds);
-    comparison.push(jr);
-    std::printf("  %-12s sudoku-z %llu vs ECC-4 %llu vs Hi-ECC %llu "
-                "failure intervals -> %s\n",
-                scenario_name.c_str(),
-                static_cast<unsigned long long>(z->failure_intervals),
-                static_cast<unsigned long long>(ecck->failure_intervals),
-                static_cast<unsigned long long>(hiecc->failure_intervals),
-                holds ? "holds" : "VIOLATED");
+    const auto z = outcomes.find({scenario_name, "SuDoku-Z"});
+    const auto ecck = outcomes.find({scenario_name, "ECC-4"});
+    const auto hiecc = outcomes.find({scenario_name, "Hi-ECC"});
+    if (z == outcomes.end() || ecck == outcomes.end() || hiecc == outcomes.end()) {
+      continue;
+    }
+    comparison.row(scenario_name,
+                   scenario_name == "stuck"
+                       ? "§VI: SuDoku tolerates permanent faults via scrub+repair"
+                       : "SuDoku-Z fails no more often than per-line ECC-4",
+                   z->second.first, ecck->second.first, hiecc->second.first,
+                   z->second.second,
+                   z->second.first <= ecck->second.first && z->second.second == 0);
   }
 
   // ---- graceful degradation under a permanent-fault scenario ----------
@@ -311,30 +243,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  exp::JsonArray deg_rows;
+  bench::Table deg_rows({{"bank", "%5u", "bank"},
+                         {"retired", "%8u", ""},
+                         {"spare-backed", "%13u", "retired_mapped"},
+                         {"unmapped", "%9u", "retired_unmapped"},
+                         {"spares", "%7u", "spare_capacity"}});
   for (const auto& bank : deg.banks) {
-    std::printf("  bank %u: %llu retired (%llu spare-backed, %llu unmapped) "
-                "of %llu lines\n",
-                bank.bank,
-                static_cast<unsigned long long>(bank.retired_lines.size()),
-                static_cast<unsigned long long>(bank.retired_mapped),
-                static_cast<unsigned long long>(bank.retired_unmapped),
-                static_cast<unsigned long long>(svc_lines));
-    exp::JsonObject jr;
-    jr.set("bank", bank.bank)
-        .set("retired_mapped", bank.retired_mapped)
-        .set("retired_unmapped", bank.retired_unmapped)
-        .set("spare_capacity", bank.spare_capacity);
     exp::JsonArray ids;
     for (const auto line : bank.retired_lines) ids.push(line);
-    jr.set("retired_lines", ids);
-    deg_rows.push(jr);
+    deg_rows.row(bank.bank, bank.retired_lines.size(), bank.retired_mapped,
+                 bank.retired_unmapped, bank.spare_capacity)
+        .set("retired_lines", ids);
   }
-  obs::MetricsRegistry svc_metrics;
-  svc.merge_metrics_into(svc_metrics);
-  svc_metrics += audit.registry();
   exp::JsonObject degradation;
-  degradation.set("banks", deg_rows)
+  degradation.set("banks", deg_rows.json())
       .set("healthy_fraction", deg.healthy_fraction())
       .set("retired_total", deg.retired_mapped + deg.retired_unmapped)
       .set("audit_due", audit_due)
@@ -359,22 +281,10 @@ int main(int argc, char** argv) {
   config.set("scenarios", scn_specs);
 
   exp::JsonObject result;
-  result.set("rows", rows)
-      .set("paper_comparison", comparison)
+  result.set("rows", matrix.json())
+      .set("paper_comparison", comparison.json())
       .set("degradation", degradation);
 
-  const exp::ResultSink sink(args.out_dir);
-  const auto path = sink.write(bench_name, config, result, total_stats,
-                               &total_metrics, &report);
-  std::printf("\n  %llu trials in %.2f s (%s trials/s, %u threads) -> %s\n",
-              static_cast<unsigned long long>(total_stats.trials),
-              total_stats.wall_seconds,
-              bench::sci(total_stats.trials_per_second()).c_str(),
-              total_stats.threads, path.string().c_str());
-  if (args.json) {
-    const auto root = exp::ResultSink::make_root(
-        bench_name, config, result, total_stats, &total_metrics, &report);
-    std::printf("%s\n", root.str(/*pretty=*/true).c_str());
-  }
+  run.finish(bench_name, config, result);
   return 0;
 }

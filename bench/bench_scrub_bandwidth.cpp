@@ -4,36 +4,25 @@
 // show the sweep keeping up with fault arrival at the paper's rates. The
 // engine's scrub.* series and the controller's sudoku.* instruments are
 // recorded into the bench/out artifact's metrics section.
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
-#include "exp/metrics_io.h"
-#include "exp/result_sink.h"
 #include "sttram/device_model.h"
 #include "sudoku/scrubber.h"
 
 using namespace sudoku;
 
 int main(int argc, char** argv) {
-  const auto args =
-      bench::BenchArgs::parse(argc, argv, bench::single_threaded_options());
+  bench::Run run(argc, argv, bench::single_threaded_options());
   bench::print_header("Scrub bandwidth (§VII-E): sweep cost vs interval and size");
-  std::printf("\n  %-10s %-10s %14s\n", "cache", "interval", "bank bandwidth");
-  exp::JsonArray bw_rows;
+  bench::Table bandwidth({{"cache", "%6uMB", "cache_mb"},
+                          {"interval", "%6.0fms", "interval_ms"},
+                          {"bank bandwidth", "%14.4f", "bandwidth_fraction"}});
   for (const std::uint64_t mb : {32ull, 64ull, 128ull}) {
     for (const double interval_ms : {10.0, 20.0, 40.0}) {
       ScrubSchedule s;
       s.interval_s = interval_ms / 1000.0;
-      const std::uint64_t lines = mb * (1ull << 20) / 64;
-      const double frac = s.bandwidth_fraction(lines);
-      std::printf("  %6lluMB %8.0fms %13.2f%%\n", static_cast<unsigned long long>(mb),
-                  interval_ms, 100.0 * frac);
-      exp::JsonObject jr;
-      jr.set("cache_mb", mb)
-          .set("interval_ms", interval_ms)
-          .set("bandwidth_fraction", frac);
-      bw_rows.push(jr);
+      bandwidth.row(mb, interval_ms, s.bandwidth_fraction(mb * (1ull << 20) / 64));
     }
   }
   std::printf("\n  paper: 20ms keeps the 64MB sweep within 'a few percent'.\n");
@@ -44,18 +33,14 @@ int main(int argc, char** argv) {
   cfg.geo.group_size = 64;
   cfg.level = SudokuLevel::kZ;
   SudokuController ctrl(cfg);
-  obs::MetricsRegistry metrics;
-  ctrl.attach_metrics(&metrics);
-  Rng rng(args.seed_or(1));
+  ctrl.attach_metrics(&run.metrics());
+  Rng rng(run.args.seed_or(1));
   ctrl.format_random(rng);
   ScrubSchedule sched;
-  const std::uint32_t intervals = static_cast<std::uint32_t>(200 * args.scale);
-  const auto t0 = std::chrono::steady_clock::now();
+  const std::uint32_t intervals = static_cast<std::uint32_t>(200 * run.args.scale);
   // 1e-4 per bit per 20ms interval, delivered continuously.
   const auto stats = run_continuous_scrub(ctrl, sched, 1e-4 / 0.02, 16, intervals,
-                                          rng, &metrics);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+                                          rng, &run.metrics());
   std::printf("\n  simulated time        : %.2f s (%llu sweeps)\n",
               stats.simulated_seconds, static_cast<unsigned long long>(stats.sweeps));
   std::printf("  faults injected       : %llu\n",
@@ -79,9 +64,9 @@ int main(int argc, char** argv) {
       .set("group_size", cfg.geo.group_size)
       .set("intervals", intervals)
       .set("fault_rate_per_bit_s", 1e-4 / 0.02)
-      .set("seed", args.seed_or(1));
+      .set("seed", run.args.seed_or(1));
   exp::JsonObject result;
-  result.set("bandwidth_rows", bw_rows)
+  result.set("bandwidth_rows", bandwidth.json())
       .set("sweeps", stats.sweeps)
       .set("faults_injected", stats.faults_injected)
       .set("ecc1_corrections", stats.ecc1_corrections)
@@ -91,19 +76,7 @@ int main(int argc, char** argv) {
       .set("simulated_seconds", stats.simulated_seconds)
       .set("parities_consistent", consistent);
 
-  exp::RunStats run_stats;
-  run_stats.trials = stats.lines_scrubbed;
-  run_stats.wall_seconds = wall;
-  run_stats.threads = 1;
-  run_stats.shards = 1;
-  const exp::ResultSink sink(args.out_dir);
-  const auto path =
-      sink.write("scrub_bandwidth", config, result, run_stats, &metrics);
-  std::printf("  artifact: %s\n", path.string().c_str());
-  if (args.json) {
-    const auto root = exp::ResultSink::make_root("scrub_bandwidth", config, result,
-                                                 run_stats, &metrics);
-    std::printf("%s\n", root.str(/*pretty=*/true).c_str());
-  }
+  run.stats.trials = stats.lines_scrubbed;
+  run.finish("scrub_bandwidth", config, result);
   return consistent ? 0 : 1;
 }

@@ -9,14 +9,12 @@
 // its *schema* against the golden copy (--ignore on the measured fields)
 // and CI runs the --quick sweep under TSan for the data-race guarantee
 // rather than the numbers.
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "baselines/hiecc_cache.h"
 #include "bench_util.h"
 #include "common/rng.h"
-#include "exp/metrics_io.h"
 #include "service/load_gen.h"
 #include "service/service.h"
 
@@ -50,7 +48,8 @@ int main(int argc, char** argv) {
   opts.scale = false;
   opts.load = true;
   opts.extra_flags = {"--quick"};
-  const auto args = bench::BenchArgs::parse(argc, argv, opts);
+  bench::Run run(argc, argv, opts);
+  const auto& args = run.args;
   const bool quick = args.has_extra("--quick");
 
   const std::uint64_t lines_per_bank = quick ? 4096 : 16384;
@@ -83,16 +82,20 @@ int main(int argc, char** argv) {
       "Concurrent service throughput: clients x banks x error rate");
   bench::print_subnote(
       "host-timing bench: numbers vary with machine load; schema is golden");
-  std::printf("\n  %-9s %-6s %7s %5s %8s %10s %9s %9s %9s %6s\n", "scheme",
-              "mode", "clients", "banks", "ber", "qps", "p50_ns", "p99_ns",
-              "p999_ns", "qmax");
-
-  exp::JsonArray rows;
-  obs::MetricsRegistry merged;
-  exp::RunStats run_stats;
-  run_stats.threads = top_clients;
-  run_stats.shards = points.size();
-  const auto t0 = std::chrono::steady_clock::now();
+  bench::Table rows({{"scheme", "%-9s", "scheme"},
+                     {"mode", "%-6s", "mode"},
+                     {"clients", "%7u", "clients"},
+                     {"banks", "%5u", "banks"},
+                     {"", "", "lines_per_bank"},
+                     {"ber", "%8s", "ber"},
+                     {"", "", "duration_ms"},
+                     {"qps", "%10.0f", ""},
+                     {"p50_ns", "%9.0f", ""},
+                     {"p99_ns", "%9.0f", ""},
+                     {"p999_ns", "%9.0f", ""},
+                     {"qmax", "%6u", ""}});
+  run.stats.threads = top_clients;
+  run.stats.shards = points.size();
   double qps_1_client = 0.0, qps_top_client = 0.0;
 
   for (const auto& p : points) {
@@ -123,8 +126,8 @@ int main(int argc, char** argv) {
       lcfg.inject_interval_ms = 10;
     }
     const service::LoadReport rep = service::run_load(svc, lcfg);
-    merged += rep.metrics;
-    run_stats.trials += rep.ops;
+    run.metrics() += rep.metrics;
+    run.stats.trials += rep.ops;
 
     if (p.scheme == "sudoku-z" && p.mode == "closed" && p.banks == top_banks &&
         p.ber == 1e-5) {
@@ -132,20 +135,6 @@ int main(int argc, char** argv) {
       if (p.clients == top_clients) qps_top_client = rep.qps;
     }
 
-    std::printf("  %-9s %-6s %7u %5u %8s %10.0f %9.0f %9.0f %9.0f %6llu\n",
-                p.scheme.c_str(), p.mode.c_str(), p.clients, p.banks,
-                bench::sci(p.ber).c_str(), rep.qps, rep.read_latency_ns.p50,
-                rep.read_latency_ns.p99, rep.read_latency_ns.p999,
-                static_cast<unsigned long long>(rep.queue_depth_max));
-
-    exp::JsonObject row;
-    row.set("scheme", p.scheme)
-        .set("mode", p.mode)
-        .set("clients", p.clients)
-        .set("banks", p.banks)
-        .set("lines_per_bank", lines_per_bank)
-        .set("ber", p.ber)
-        .set("duration_ms", duration_ms);
     exp::JsonObject measured;
     measured.set("ops", rep.ops)
         .set("reads", rep.reads)
@@ -158,8 +147,10 @@ int main(int argc, char** argv) {
         .set("max_ns", rep.read_latency_ns.max)
         .set("queue_depth_max", rep.queue_depth_max)
         .set("wall_seconds", rep.wall_seconds);
-    row.set("measured", measured);
-    rows.push(row);
+    rows.row(p.scheme, p.mode, p.clients, p.banks, lines_per_bank, p.ber, duration_ms,
+             rep.qps, rep.read_latency_ns.p50, rep.read_latency_ns.p99,
+             rep.read_latency_ns.p999, rep.queue_depth_max)
+        .set("measured", measured);
   }
 
   if (qps_1_client > 0.0 && top_clients > 1) {
@@ -168,10 +159,6 @@ int main(int argc, char** argv) {
     bench::print_subnote(
         "acceptance: >= 2.5x on an 8-core host; meaningless on fewer cores");
   }
-
-  run_stats.wall_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
 
   exp::JsonObject config;
   config.set("quick", quick)
@@ -182,8 +169,7 @@ int main(int argc, char** argv) {
       .set("inject_interval_ms", 10)
       .set("seed", seed);
   exp::JsonObject result;
-  result.set("rows", rows);
-  bench::emit_artifact(args, "service_throughput", config, result, run_stats,
-                       &merged);
+  result.set("rows", rows.json());
+  run.finish("service_throughput", config, result);
   return 0;
 }

@@ -1,7 +1,6 @@
 // Reproduces Table X: impact of thermal stability Delta on ECC-6 vs
 // SuDoku. BERs are derived from the device model at each Delta; the
 // paper's FIT values are printed alongside.
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -12,7 +11,7 @@ using namespace sudoku;
 using namespace sudoku::reliability;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, bench::analytical_options());
+  bench::Run run(argc, argv, bench::analytical_options());
   bench::print_header("Table X: Impact of Delta — ECC-6 vs SuDoku");
 
   struct Row {
@@ -27,34 +26,25 @@ int main(int argc, char** argv) {
       {33, 1240, 8, 155},
   };
 
-  const auto t0 = std::chrono::steady_clock::now();
-  exp::JsonArray rows;
   exp::JsonArray comparison;
-  std::printf("\n  %-6s %10s | %10s %8s | %12s %12s %10s | %10s %8s\n", "Delta",
-              "BER(model)", "ECC-6", "paper", "Z (strict)", "Z (mech)", "paper",
-              "strength", "paper");
+  bench::Table rows({{"Delta", "%6.0f", "delta"},
+                     {"BER(model)", "%10s", "ber_model"},
+                     {"ECC-6", "| %10s", "fit_ecc6"},
+                     {"paper", "%8s", ""},
+                     {"Z (strict)", "| %12s", "fit_z_strict"},
+                     {"Z (mech)", "%12s", "fit_z_mechanistic"},
+                     {"paper", "%10s", ""},
+                     {"strength", "| %9.0fx", "strength_mechanistic"},
+                     {"paper", "%8.0fx", ""}});
   for (const auto& r : paper_rows) {
     ThermalParams tp;
     tp.delta_mean = r.delta;
-    const double ber = effective_ber(tp, 0.02);
     CacheParams c;
-    c.ber = ber;
+    c.ber = effective_ber(tp, 0.02);
     const double f6 = ecc_k(c, 6).fit();
-    const double fz_strict = sudoku_z_due(c, SdrModel::kStrict).fit();
     const double fz_mech = sudoku_z_due(c).fit();
-    std::printf("  %-6.0f %10s | %10s %8s | %12s %12s %10s | %9.0fx %8s\n", r.delta,
-                bench::sci(ber).c_str(), bench::sci(f6).c_str(),
-                bench::sci(r.paper_ecc6).c_str(), bench::sci(fz_strict).c_str(),
-                bench::sci(fz_mech).c_str(), bench::sci(r.paper_sudoku).c_str(),
-                f6 / fz_mech, (bench::fixed(r.paper_strength, 0) + "x").c_str());
-    exp::JsonObject row;
-    row.set("delta", r.delta)
-        .set("ber_model", ber)
-        .set("fit_ecc6", f6)
-        .set("fit_z_strict", fz_strict)
-        .set("fit_z_mechanistic", fz_mech)
-        .set("strength_mechanistic", f6 / fz_mech);
-    rows.push(row);
+    rows.row(r.delta, c.ber, f6, r.paper_ecc6, sudoku_z_due(c, SdrModel::kStrict).fit(),
+             fz_mech, r.paper_sudoku, f6 / fz_mech, r.paper_strength);
     const std::string label = "Delta=" + bench::fixed(r.delta, 0);
     comparison.push(bench::paper_row(label + " ECC-6 FIT", r.paper_ecc6, f6));
     comparison.push(
@@ -71,14 +61,9 @@ int main(int argc, char** argv) {
   exp::JsonObject config;
   config.set("scrub_interval_s", 0.02).set("sigma_fraction", 0.1);
   exp::JsonObject result;
-  result.set("rows", rows).set("paper_comparison", comparison);
+  result.set("rows", rows.json()).set("paper_comparison", comparison);
 
-  exp::RunStats stats;
-  stats.trials = 3;
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  stats.threads = 1;
-  stats.shards = 1;
-  bench::emit_artifact(args, "table10_delta", config, result, stats);
+  run.stats.trials = 3;
+  run.finish("table10_delta", config, result);
   return 0;
 }

@@ -12,16 +12,12 @@
 // what keeps their checkpoint trees apart — see docs/robustness.md).
 #include <cstdio>
 #include <memory>
-#include <optional>
 
 #include "baselines/cppc_cache.h"
 #include "baselines/mc_runner.h"
 #include "baselines/raid6_cache.h"
 #include "baselines/twodp_cache.h"
 #include "bench_util.h"
-#include "exp/checkpoint.h"
-#include "exp/mc_experiments.h"
-#include "exp/metrics_io.h"
 #include "reliability/analytical.h"
 #include "reliability/montecarlo.h"
 
@@ -29,31 +25,18 @@ using namespace sudoku;
 using namespace sudoku::reliability;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv);
-  exp::install_signal_handlers();
+  bench::Run run(argc, argv);
   bench::print_header("Table XI: Comparing CPPC, RAID-6, 2DP with SuDoku");
 
   CacheParams c;
-  struct Row {
-    const char* name;
-    double fit;
-    const char* paper;
-  };
-  const Row rows[] = {
-      {"CPPC + CRC-31", cppc(c).fit(), "1.69e14"},
-      {"RAID-6 + CRC-31", raid6(c).fit(), "571e3"},
-      {"2DP ECC-1+CRC-31", twodp(c).fit(), "2.8e8"},
-      {"SuDoku-Z (strict)", sudoku_z_due(c, SdrModel::kStrict).fit(), "1.05e-4"},
-      {"SuDoku-Z (mechanistic)", sudoku_z_due(c).fit(), "1.05e-4"},
-  };
-  std::printf("\n  %-24s %14s %12s\n", "Scheme", "FIT (ours)", "paper");
-  exp::JsonArray fit_rows;
-  for (const auto& r : rows) {
-    std::printf("  %-24s %14s %12s\n", r.name, bench::sci(r.fit).c_str(), r.paper);
-    exp::JsonObject jr;
-    jr.set("scheme", r.name).set("fit", r.fit).set("paper", r.paper);
-    fit_rows.push(jr);
-  }
+  bench::Table fits({{"Scheme", "%-24s", "scheme"},
+                     {"FIT (ours)", "%14s", "fit"},
+                     {"paper", "%12s", "paper"}});
+  fits.row("CPPC + CRC-31", cppc(c).fit(), "1.69e14");
+  fits.row("RAID-6 + CRC-31", raid6(c).fit(), "571e3");
+  fits.row("2DP ECC-1+CRC-31", twodp(c).fit(), "2.8e8");
+  fits.row("SuDoku-Z (strict)", sudoku_z_due(c, SdrModel::kStrict).fit(), "1.05e-4");
+  fits.row("SuDoku-Z (mechanistic)", sudoku_z_due(c).fit(), "1.05e-4");
   std::printf("\n  note: our RAID-6 model (P+Q erasure pair, fails at 3 multi-bit\n"
               "  lines/group) yields a higher FIT than the paper's 571e3; the paper\n"
               "  describes diagonal+row parities whose exact model it does not give.\n"
@@ -64,46 +47,23 @@ int main(int argc, char** argv) {
       "Functional Monte-Carlo at accelerated BER (1 MB cache, 128-line groups, BER 1e-4)");
   baselines::BaselineMcConfig mcfg;
   mcfg.ber = 1e-4;
-  mcfg.max_intervals = 300 * args.scale;
-  mcfg.seed = args.seed_or(7);
-
-  std::optional<exp::CheckpointStore> store;
-  if (args.checkpointing()) store.emplace(args.checkpoint_dir, args.resume);
-  exp::ShardRunReport report;
-
-  exp::ExpOptions opts;
-  opts.threads = args.threads;
-  opts.checkpoint = store ? &*store : nullptr;
-  opts.report = &report;
-  opts.fleet = args.fleet;
-  exp::RunStats total_stats;
-  obs::MetricsRegistry total_metrics;
-  exp::JsonArray mc_rows;
+  mcfg.max_intervals = 300 * run.args.scale;
+  mcfg.seed = run.args.seed_or(7);
 
   // 128-line groups: SuDoku-Z's skewed hash needs num_lines >= group^2.
   const std::uint64_t lines = 1u << 14;
   const std::uint32_t group = 128;
 
+  bench::Table mc({{"Scheme", "%-24s", "scheme"},
+                   {"failures", "%9u", "failure_intervals"},
+                   {"intervals", "%10u", "intervals"},
+                   {"sdc", "%5u", "sdc_units"}});
   const auto run_scheme = [&](const std::string& name,
                               const exp::SchemeFactory& factory) {
     // The BaselineMcConfig is identical for every scheme; the per-scheme
     // checkpoint scope is what keeps their shard payloads apart.
-    exp::ExpOptions scheme_opts = opts;
-    scheme_opts.checkpoint_scope = "table11." + name;
-    exp::RunStats stats;
-    const auto r = exp::run_baseline_mc_parallel(factory, mcfg, scheme_opts, &stats);
-    bench::exit_if_interrupted(args);
-    total_stats += stats;
-    total_metrics += r.metrics;
-    std::printf("  %-24s failure intervals: %llu/%llu\n", name.c_str(),
-                static_cast<unsigned long long>(r.failure_intervals),
-                static_cast<unsigned long long>(r.intervals));
-    exp::JsonObject jr;
-    jr.set("scheme", name)
-        .set("failure_intervals", r.failure_intervals)
-        .set("intervals", r.intervals)
-        .set("sdc_units", r.sdc_units);
-    mc_rows.push(jr);
+    const auto r = run.baseline(factory, mcfg, "table11." + name);
+    mc.row(name, r.failure_intervals, r.intervals, r.sdc_units);
   };
 
   run_scheme("CPPC+CRC-31",
@@ -128,22 +88,8 @@ int main(int argc, char** argv) {
     zc.level = SudokuLevel::kZ;
     zc.max_intervals = mcfg.max_intervals;
     zc.seed = mcfg.seed;
-    exp::ExpOptions z_opts = opts;
-    z_opts.checkpoint_scope = "table11.SuDoku-Z";
-    exp::RunStats stats;
-    const auto r = exp::run_montecarlo_parallel(zc, z_opts, &stats);
-    bench::exit_if_interrupted(args);
-    total_stats += stats;
-    total_metrics += r.metrics;
-    std::printf("  %-24s failure intervals: %llu/%llu\n", "SuDoku-Z",
-                static_cast<unsigned long long>(r.failure_intervals),
-                static_cast<unsigned long long>(r.intervals));
-    exp::JsonObject jr;
-    jr.set("scheme", "SuDoku-Z")
-        .set("failure_intervals", r.failure_intervals)
-        .set("intervals", r.intervals)
-        .set("sdc_units", r.sdc_lines);
-    mc_rows.push(jr);
+    const auto r = run.mc(zc, "table11.SuDoku-Z");
+    mc.row("SuDoku-Z", r.failure_intervals, r.intervals, r.sdc_lines);
   }
 
   exp::JsonObject config;
@@ -153,28 +99,8 @@ int main(int argc, char** argv) {
       .set("num_lines", lines)
       .set("group_size", group);
   exp::JsonObject result;
-  result.set("analytical_fit", fit_rows).set("montecarlo", mc_rows);
+  result.set("analytical_fit", fits.json()).set("montecarlo", mc.json());
 
-  const exp::ResultSink sink(args.out_dir);
-  const auto path = sink.write("table11_baselines", config, result, total_stats,
-                               &total_metrics, &report);
-  std::printf("\n  %llu trials in %.2f s (%s trials/s, %u threads) -> %s\n",
-              static_cast<unsigned long long>(total_stats.trials),
-              total_stats.wall_seconds,
-              bench::sci(total_stats.trials_per_second()).c_str(),
-              total_stats.threads, path.string().c_str());
-  if (store || report.degraded()) {
-    std::printf("  fault tolerance: %llu/%llu shards resumed, %llu retries, "
-                "%llu quarantined\n",
-                static_cast<unsigned long long>(report.shards_resumed),
-                static_cast<unsigned long long>(report.shards_total),
-                static_cast<unsigned long long>(report.shards_retried),
-                static_cast<unsigned long long>(report.shards_quarantined));
-  }
-  if (args.json) {
-    const auto root = exp::ResultSink::make_root("table11_baselines", config, result,
-                                                 total_stats, &total_metrics, &report);
-    std::printf("%s\n", root.str(/*pretty=*/true).c_str());
-  }
+  run.finish("table11_baselines", config, result);
   return 0;
 }

@@ -1,6 +1,5 @@
 // Reproduces Table XII: SuDoku vs Hi-ECC (ECC-6 over 1 KB regions). Also
 // prints the storage-overhead comparison of §VII-H and §VIII-C.
-#include <chrono>
 #include <cstdio>
 
 #include "baselines/hiecc_cache.h"
@@ -11,10 +10,9 @@ using namespace sudoku;
 using namespace sudoku::reliability;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, bench::analytical_options());
+  bench::Run run(argc, argv, bench::analytical_options());
   bench::print_header("Table XII: SuDoku vs Hi-ECC");
 
-  const auto t0 = std::chrono::steady_clock::now();
   CacheParams c;
   const double fit_sudoku = sudoku_z_due(c, SdrModel::kStrict).fit();
   const double fit_hiecc = hi_ecc(c).fit();
@@ -57,12 +55,7 @@ int main(int argc, char** argv) {
       .set("storage_saving_pct", storage_saving)
       .set("paper_comparison", comparison);
 
-  exp::RunStats stats;
-  stats.trials = 2;
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  stats.threads = 1;
-  stats.shards = 1;
-  bench::emit_artifact(args, "table12_hiecc", config, result, stats);
+  run.stats.trials = 2;
+  run.finish("table12_hiecc", config, result);
   return 0;
 }

@@ -3,7 +3,6 @@
 // sigma = 10%. Also prints the §I headline numbers (18-day cell MTTF at
 // Delta 35; ~1 hour population-average failure time; expected faulty bits
 // in a 64 MB cache per interval).
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -12,30 +11,25 @@
 using namespace sudoku;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, bench::analytical_options());
+  bench::Run run(argc, argv, bench::analytical_options());
   bench::print_header("Table I: Thermal Stability vs Error Rate (20ms period)");
   bench::print_subnote("paper: Delta=60 -> 2.7e-12, Delta=35 -> 5.3e-6 (recomputed from [5])");
 
-  const auto t0 = std::chrono::steady_clock::now();
   const double paper_ber[] = {2.7e-12, 5.3e-6};
-  exp::JsonArray rows;
   exp::JsonArray comparison;
-  std::printf("\n  %-28s %14s %14s\n", "Mean Thermal Stability", "60 (32nm)", "35 (22nm)");
-  std::printf("  %-28s", "BER p_cell (20ms, sigma=10%)");
+  bench::Table rows({{"Mean thermal stability", "%22.0f", "delta_mean"},
+                     {"BER p_cell (20ms, sigma=10%)", "%28s", "ber_20ms"},
+                     {"paper", "%12s", "paper_ber"}});
   int i = 0;
   for (const double delta : {60.0, 35.0}) {
     ThermalParams p;
     p.delta_mean = delta;
     const double ber = effective_ber(p, 0.02);
-    std::printf(" %14s", bench::sci(ber).c_str());
-    exp::JsonObject row;
-    row.set("delta_mean", delta).set("ber_20ms", ber).set("paper_ber", paper_ber[i]);
-    rows.push(row);
+    rows.row(delta, ber, paper_ber[i]);
     comparison.push(bench::paper_row("BER at Delta=" + bench::fixed(delta, 0),
                                      paper_ber[i], ber));
     ++i;
   }
-  std::printf("\n");
 
   bench::print_header("Section I headline numbers");
   ThermalParams p35;
@@ -65,18 +59,13 @@ int main(int argc, char** argv) {
   exp::JsonObject config;
   config.set("scrub_interval_s", 0.02).set("sigma_fraction", 0.1);
   exp::JsonObject result;
-  result.set("rows", rows)
+  result.set("rows", rows.json())
       .set("mttf_cell_delta35_days", mttf_days)
       .set("population_average_failure_hours", pop_avg_hours)
       .set("faulty_bits_64mb_per_interval", faulty_bits)
       .set("paper_comparison", comparison);
 
-  exp::RunStats stats;
-  stats.trials = 2;
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  stats.threads = 1;
-  stats.shards = 1;
-  bench::emit_artifact(args, "table1_ber", config, result, stats);
+  run.stats.trials = 2;
+  run.finish("table1_ber", config, result);
   return 0;
 }

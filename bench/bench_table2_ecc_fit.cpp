@@ -9,7 +9,6 @@
 // validation of the likelihood-ratio math at the paper's operating point,
 // where the unweighted probability (~2e-7 per block for ECC-2) is far out
 // of naive MC reach.
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -51,8 +50,7 @@ exp::RareEventEstimate ecc_block_estimate(int k, std::uint64_t block_lines,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args =
-      bench::BenchArgs::parse(argc, argv, bench::single_threaded_options());
+  bench::Run run(argc, argv, bench::single_threaded_options());
   bench::print_header(
       "Table II: FIT Rate of 64MB Cache for various ECC, BER 5.3e-6 / 20ms");
 
@@ -61,26 +59,21 @@ int main(int argc, char** argv) {
   const double paper_cache[] = {9.8e-1, 4e-3, 3.1e-6, 2e-9, 1.1e-12, 5.1e-16};
   const char* paper_fit[] = {">1e14", "7.2e11", "5.5e8", "3.5e5", "191", "0.092"};
 
-  const auto t0 = std::chrono::steady_clock::now();
-  exp::JsonArray rows;
   exp::JsonArray comparison;
-  std::printf("\n  %-8s %16s %12s %16s %12s %12s %10s\n", "ECC/line",
-              "P(line-fail)", "paper", "P(cache-fail)", "paper", "FIT", "paper");
+  bench::Table rows({{"ECC/line", "ECC-%-4d", "ecc_k"},
+                     {"bits", "%5u", "line_bits"},
+                     {"P(line-fail)", "%13s", "p_line_fail"},
+                     {"paper", "%9s", ""},
+                     {"P(cache-fail)", "%13s", "p_cache_fail"},
+                     {"paper", "%9s", ""},
+                     {"FIT", "%9s", "fit"},
+                     {"paper", "%7s", ""}});
   for (int k = 1; k <= 6; ++k) {
     const std::uint32_t bits = 512 + 10u * k;
     const double p_line = std::exp(log_p_line_ge(bits, k + 1, c.ber));
     const auto r = ecc_k(c, k);
-    std::printf("  ECC-%-4d %16s %12s %16s %12s %12s %10s\n", k,
-                bench::sci(p_line).c_str(), bench::sci(paper_line[k - 1]).c_str(),
-                bench::sci(r.p_interval()).c_str(), bench::sci(paper_cache[k - 1]).c_str(),
-                bench::sci(r.fit()).c_str(), paper_fit[k - 1]);
-    exp::JsonObject row;
-    row.set("ecc_k", k)
-        .set("line_bits", bits)
-        .set("p_line_fail", p_line)
-        .set("p_cache_fail", r.p_interval())
-        .set("fit", r.fit());
-    rows.push(row);
+    rows.row(k, bits, p_line, paper_line[k - 1], r.p_interval(), paper_cache[k - 1],
+             r.fit(), paper_fit[k - 1]);
     const std::string label = "ECC-" + std::to_string(k);
     comparison.push(
         bench::paper_row(label + " P(line-fail)", paper_line[k - 1], p_line));
@@ -92,13 +85,23 @@ int main(int argc, char** argv) {
 
   // ---- stratified-MC cross-check (ECC-1, ECC-2) -------------------------
   const std::uint64_t block_lines = 64;
-  const std::uint64_t trials = 20000 * args.scale;
-  const std::uint64_t seed = args.seed_or(43);
-  exp::JsonArray checks;
-  std::uint64_t check_trials = 0;
+  const std::uint64_t trials = 20000 * run.args.scale;
+  const std::uint64_t seed = run.args.seed_or(43);
   std::printf("\n  Stratified-MC cross-check, %llu-line blocks, %llu trials each:\n",
               static_cast<unsigned long long>(block_lines),
               static_cast<unsigned long long>(trials));
+  bench::Table checks({{"ECC", "ECC-%d", "ecc_k"},
+                       {"", "", "block_lines"},
+                       {"p(block) MC", "%11s", "p_block_mc"},
+                       {"ci95", "+- %-9s", "p_block_ci95"},
+                       {"exact", "%9s", "p_block_exact"},
+                       {"", "", "p_cache_mc"},
+                       {"FIT(MC)", "%9s", "fit_mc"},
+                       {"", "", "ess"},
+                       {"", "", "trials"},
+                       {"", "", "excluded_mass"},
+                       {"in 95% CI", "%9s", "within_ci95"}});
+  run.stats.trials = 6;
   for (int k = 1; k <= 2; ++k) {
     const std::uint32_t bits = 512 + 10u * k;
     const auto est =
@@ -109,28 +112,11 @@ int main(int argc, char** argv) {
     const double n_blocks =
         static_cast<double>(c.num_lines) / static_cast<double>(block_lines);
     const double p_cache_mc = exp::lift_units(est.p_unit, n_blocks);
-    const double fit_mc = fit_from_interval_prob(p_cache_mc, c.scrub_interval_s);
-    const bool agrees =
-        std::abs(est.p_unit - p_block_exact) <= est.ci95_unit();
-    std::printf("    ECC-%d  p(block) MC %s +- %s  exact %s  %s   FIT(MC) %s\n",
-                k, bench::sci(est.p_unit).c_str(), bench::sci(est.ci95_unit()).c_str(),
-                bench::sci(p_block_exact).c_str(),
-                agrees ? "[within 95% CI]" : "[OUTSIDE 95% CI]",
-                bench::sci(fit_mc).c_str());
-    exp::JsonObject o;
-    o.set("ecc_k", k)
-        .set("block_lines", block_lines)
-        .set("p_block_mc", est.p_unit)
-        .set("p_block_ci95", est.ci95_unit())
-        .set("p_block_exact", p_block_exact)
-        .set("p_cache_mc", p_cache_mc)
-        .set("fit_mc", fit_mc)
-        .set("ess", est.ess)
-        .set("trials", est.trials)
-        .set("excluded_mass", est.excluded_mass)
-        .set("within_ci95", agrees);
-    checks.push(o);
-    check_trials += est.trials;
+    checks.row(k, block_lines, est.p_unit, est.ci95_unit(), p_block_exact, p_cache_mc,
+               fit_from_interval_prob(p_cache_mc, c.scrub_interval_s), est.ess,
+               est.trials, est.excluded_mass,
+               std::abs(est.p_unit - p_block_exact) <= est.ci95_unit());
+    run.stats.trials += est.trials;
   }
 
   exp::JsonObject config;
@@ -140,16 +126,10 @@ int main(int argc, char** argv) {
       .set("rare_event_trials", trials)
       .set("rare_event_seed", seed);
   exp::JsonObject result;
-  result.set("rows", rows)
-      .set("rare_event_check", checks)
+  result.set("rows", rows.json())
+      .set("rare_event_check", checks.json())
       .set("paper_comparison", comparison);
 
-  exp::RunStats stats;
-  stats.trials = 6 + check_trials;
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  stats.threads = 1;
-  stats.shards = 1;
-  bench::emit_artifact(args, "table2_ecc_fit", config, result, stats);
+  run.finish("table2_ecc_fit", config, result);
   return 0;
 }

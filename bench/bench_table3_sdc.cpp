@@ -10,12 +10,8 @@
 // throughput land in a bench/out JSON artifact. Supports --checkpoint /
 // --resume like every engine-backed bench (see docs/robustness.md).
 #include <cstdio>
-#include <optional>
 
 #include "bench_util.h"
-#include "exp/checkpoint.h"
-#include "exp/mc_experiments.h"
-#include "exp/metrics_io.h"
 #include "reliability/analytical.h"
 #include "reliability/montecarlo.h"
 
@@ -23,8 +19,7 @@ using namespace sudoku;
 using namespace sudoku::reliability;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv);
-  exp::install_signal_handlers();
+  bench::Run run(argc, argv);
   bench::print_header("Table III: SDC Rates of Cache with SuDoku-X");
 
   CacheParams c;
@@ -55,22 +50,10 @@ int main(int argc, char** argv) {
   mcfg.cache.group_size = 64;
   mcfg.cache.ber = 2e-4;
   mcfg.level = SudokuLevel::kX;
-  mcfg.max_intervals = 600 * args.scale;
-  mcfg.seed = args.seed_or(17);
+  mcfg.max_intervals = 600 * run.args.scale;
+  mcfg.seed = run.args.seed_or(17);
 
-  std::optional<exp::CheckpointStore> store;
-  if (args.checkpointing()) store.emplace(args.checkpoint_dir, args.resume);
-  exp::ShardRunReport report;
-
-  exp::ExpOptions opts;
-  opts.threads = args.threads;
-  opts.checkpoint = store ? &*store : nullptr;
-  opts.checkpoint_scope = "table3_sdc";
-  opts.report = &report;
-  opts.fleet = args.fleet;
-  exp::RunStats stats;
-  const auto mc = exp::run_montecarlo_parallel(mcfg, opts, &stats);
-  bench::exit_if_interrupted(args);
+  const auto mc = run.mc(mcfg, "table3_sdc");
   std::printf(
       "\n  Functional check (BER %s, %llu intervals): due_lines=%llu sdc_lines=%llu"
       "  %s\n",
@@ -79,14 +62,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(mc.due_lines),
       static_cast<unsigned long long>(mc.sdc_lines),
       mc.sdc_lines == 0 ? "[no silent corruption]" : "[SDC OBSERVED]");
-  if (store || report.degraded()) {
-    std::printf("  fault tolerance: %llu/%llu shards resumed, %llu retries, "
-                "%llu quarantined\n",
-                static_cast<unsigned long long>(report.shards_resumed),
-                static_cast<unsigned long long>(report.shards_total),
-                static_cast<unsigned long long>(report.shards_retried),
-                static_cast<unsigned long long>(report.shards_quarantined));
-  }
 
   exp::JsonObject config;
   config.set("ber", mcfg.cache.ber)
@@ -102,14 +77,6 @@ int main(int argc, char** argv) {
       .set("mc_due_lines", mc.due_lines)
       .set("mc_sdc_lines", mc.sdc_lines);
 
-  const exp::ResultSink sink(args.out_dir);
-  const auto path =
-      sink.write("table3_sdc", config, result, stats, &mc.metrics, &report);
-  std::printf("  artifact: %s\n", path.string().c_str());
-  if (args.json) {
-    const auto root = exp::ResultSink::make_root("table3_sdc", config, result, stats,
-                                                 &mc.metrics, &report);
-    std::printf("%s\n", root.str(/*pretty=*/true).c_str());
-  }
+  run.finish("table3_sdc", config, result);
   return mc.sdc_lines == 0 ? 0 : 1;
 }

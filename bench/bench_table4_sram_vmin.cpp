@@ -7,7 +7,6 @@
 // each of our models actually yields, and flag the discrepancy (see
 // EXPERIMENTS.md: Vmin faults are *permanent and locatable*, which changes
 // the repair model entirely).
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -17,24 +16,20 @@ using namespace sudoku;
 using namespace sudoku::reliability;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, bench::analytical_options());
+  bench::Run run(argc, argv, bench::analytical_options());
   bench::print_header("Table IV: Probability of SRAM Cache Failure (BER = 1e-3, Vmin < 500mV)");
 
   CacheParams c;
   c.ber = 1e-3;
 
-  const auto t0 = std::chrono::steady_clock::now();
   const double paper[] = {0.11, 0.0066, 3.5e-4};
-  exp::JsonArray rows;
   exp::JsonArray comparison;
-  std::printf("\n  %-10s %16s %12s\n", "Scheme", "P(cache fail)", "paper");
+  bench::Table rows({{"Scheme", "ECC-%-6d", "ecc_k"},
+                     {"P(cache fail)", "%16s", "p_cache_fail"},
+                     {"paper", "%12s", ""}});
   for (int k = 7; k <= 9; ++k) {
     const double p = sram_vmin_cache_failure_ecc(c, k);
-    std::printf("  ECC-%-6d %16s %12s\n", k, bench::sci(p).c_str(),
-                bench::sci(paper[k - 7]).c_str());
-    exp::JsonObject row;
-    row.set("ecc_k", k).set("p_cache_fail", p);
-    rows.push(row);
+    rows.row(k, p, paper[k - 7]);
     comparison.push(bench::paper_row("ECC-" + std::to_string(k) + " P(cache fail)",
                                      paper[k - 7], p));
   }
@@ -59,16 +54,11 @@ int main(int argc, char** argv) {
   exp::JsonObject config;
   config.set("ber", c.ber).set("num_lines", c.num_lines).set("group_size", c.group_size);
   exp::JsonObject result;
-  result.set("rows", rows)
+  result.set("rows", rows.json())
       .set("sudoku_transient_model_p", sudoku_transient)
       .set("paper_comparison", comparison);
 
-  exp::RunStats stats;
-  stats.trials = 3;
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  stats.threads = 1;
-  stats.shards = 1;
-  bench::emit_artifact(args, "table4_sram_vmin", config, result, stats);
+  run.stats.trials = 3;
+  run.finish("table4_sram_vmin", config, result);
   return 0;
 }

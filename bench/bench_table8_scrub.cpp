@@ -8,12 +8,9 @@
 // each interval, so a doubled interval must roughly double the corrections
 // per sweep (longer exposure windows). Per-interval scrub.* / sudoku.*
 // series land in the bench/out artifact's metrics section.
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
-#include "exp/metrics_io.h"
-#include "exp/result_sink.h"
 #include "reliability/analytical.h"
 #include "sttram/device_model.h"
 #include "sudoku/scrubber.h"
@@ -22,8 +19,7 @@ using namespace sudoku;
 using namespace sudoku::reliability;
 
 int main(int argc, char** argv) {
-  const auto args =
-      bench::BenchArgs::parse(argc, argv, bench::single_threaded_options());
+  bench::Run run(argc, argv, bench::single_threaded_options());
   bench::print_header("Table VIII: FIT-Rate vs Scrub Intervals (default: 20ms)");
 
   struct Row {
@@ -39,32 +35,23 @@ int main(int argc, char** argv) {
       {0.04, 1.09e-5, "6870", "6.76", "0.04"},
   };
 
-  exp::JsonArray fit_rows;
-  std::printf("\n  %-8s %10s %12s | %10s %8s | %10s %9s | %12s %10s\n", "Scrub",
-              "BER/scrub", "model BER", "ECC-5", "paper", "ECC-6", "paper",
-              "SuDoku-Z(strict)", "paper");
+  bench::Table fits({{"Scrub s", "%7s", "interval_s"},
+                     {"BER/scrub", "%10s", "ber_per_scrub"},
+                     {"model BER", "%10s", "model_ber"},
+                     {"ECC-5", "| %8s", "fit_ecc5"},
+                     {"paper", "%7s", ""},
+                     {"ECC-6", "| %8s", "fit_ecc6"},
+                     {"paper", "%7s", ""},
+                     {"SuDoku-Z(strict)", "| %16s", "fit_sudoku_z_strict"},
+                     {"paper", "%8s", ""}});
   for (const auto& r : rows) {
     CacheParams c;
     c.ber = r.ber;
     c.scrub_interval_s = r.interval_s;
     ThermalParams tp;
-    const double model_ber = effective_ber(tp, r.interval_s);
-    const double fit5 = ecc_k(c, 5).fit();
-    const double fit6 = ecc_k(c, 6).fit();
-    const double fitz = sudoku_z_due(c, SdrModel::kStrict).fit();
-    std::printf("  %4.0fms %11s %12s | %10s %8s | %10s %9s | %12s %10s\n",
-                r.interval_s * 1e3, bench::sci(r.ber).c_str(),
-                bench::sci(model_ber).c_str(), bench::sci(fit5).c_str(),
-                r.paper_ecc5, bench::sci(fit6).c_str(), r.paper_ecc6,
-                bench::sci(fitz).c_str(), r.paper_z);
-    exp::JsonObject jr;
-    jr.set("interval_s", r.interval_s)
-        .set("ber_per_scrub", r.ber)
-        .set("model_ber", model_ber)
-        .set("fit_ecc5", fit5)
-        .set("fit_ecc6", fit6)
-        .set("fit_sudoku_z_strict", fitz);
-    fit_rows.push(jr);
+    fits.row(r.interval_s, r.ber, effective_ber(tp, r.interval_s), ecc_k(c, 5).fit(),
+             r.paper_ecc5, ecc_k(c, 6).fit(), r.paper_ecc6,
+             sudoku_z_due(c, SdrModel::kStrict).fit(), r.paper_z);
   }
   std::printf("\n  shape check: ECC-5 violates the 1-FIT target even at 10ms;\n");
   std::printf("  SuDoku-Z holds it at 40ms (paper's central Table VIII claim).\n");
@@ -75,39 +62,30 @@ int main(int argc, char** argv) {
   // the exposure window — and with it the corrections per sweep — must
   // scale roughly linearly with the interval, mirroring Eq. 1's regime.
   const double rate = 2e-4 / 0.02;
-  const std::uint32_t intervals = static_cast<std::uint32_t>(30 * args.scale);
-  obs::MetricsRegistry metrics;
-  exp::JsonArray scrub_rows;
-  std::uint64_t total_lines = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  std::printf("\n  %-10s %14s %18s\n", "interval", "corrections", "corrections/sweep");
+  const std::uint32_t intervals = static_cast<std::uint32_t>(30 * run.args.scale);
+  bench::Table scrubs({{"interval s", "%10s", "interval_s"},
+                       {"sweeps", "%7u", "sweeps"},
+                       {"corrections", "%12u", "ecc1_corrections"},
+                       {"corrections/sweep", "%18.1f", "corrections_per_sweep"},
+                       {"due", "%5u", "due_lines"}});
   for (const auto& r : rows) {
     SudokuConfig cfg;
     cfg.geo.num_lines = 4096;
     cfg.geo.group_size = 64;
     cfg.level = SudokuLevel::kZ;
     SudokuController ctrl(cfg);
-    ctrl.attach_metrics(&metrics);
-    Rng rng(args.seed_or(21));
+    ctrl.attach_metrics(&run.metrics());
+    Rng rng(run.args.seed_or(21));
     ctrl.format_random(rng);
     ScrubSchedule sched;
     sched.interval_s = r.interval_s;
-    const auto s = run_continuous_scrub(ctrl, sched, rate, 8, intervals, rng, &metrics);
-    const double per_sweep =
-        s.sweeps > 0 ? static_cast<double>(s.ecc1_corrections) / s.sweeps : 0.0;
-    std::printf("  %6.0fms %14llu %18.1f\n", r.interval_s * 1e3,
-                static_cast<unsigned long long>(s.ecc1_corrections), per_sweep);
-    exp::JsonObject jr;
-    jr.set("interval_s", r.interval_s)
-        .set("sweeps", s.sweeps)
-        .set("ecc1_corrections", s.ecc1_corrections)
-        .set("corrections_per_sweep", per_sweep)
-        .set("due_lines", s.due_lines);
-    scrub_rows.push(jr);
-    total_lines += s.lines_scrubbed;
+    const auto s =
+        run_continuous_scrub(ctrl, sched, rate, 8, intervals, rng, &run.metrics());
+    scrubs.row(r.interval_s, s.sweeps, s.ecc1_corrections,
+               s.sweeps > 0 ? static_cast<double>(s.ecc1_corrections) / s.sweeps : 0.0,
+               s.due_lines);
+    run.stats.trials += s.lines_scrubbed;
   }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   std::printf("\n  expected: corrections/sweep roughly doubles 10ms->20ms->40ms.\n");
 
   exp::JsonObject config;
@@ -115,22 +93,10 @@ int main(int argc, char** argv) {
       .set("group_size", 64)
       .set("fault_rate_per_bit_s", rate)
       .set("intervals_per_row", intervals)
-      .set("seed", args.seed_or(21));
+      .set("seed", run.args.seed_or(21));
   exp::JsonObject result;
-  result.set("fit_rows", fit_rows).set("scrub_shape_check", scrub_rows);
+  result.set("fit_rows", fits.json()).set("scrub_shape_check", scrubs.json());
 
-  exp::RunStats stats;
-  stats.trials = total_lines;
-  stats.wall_seconds = wall;
-  stats.threads = 1;
-  stats.shards = 1;
-  const exp::ResultSink sink(args.out_dir);
-  const auto path = sink.write("table8_scrub", config, result, stats, &metrics);
-  std::printf("  artifact: %s\n", path.string().c_str());
-  if (args.json) {
-    const auto root =
-        exp::ResultSink::make_root("table8_scrub", config, result, stats, &metrics);
-    std::printf("%s\n", root.str(/*pretty=*/true).c_str());
-  }
+  run.finish("table8_scrub", config, result);
   return 0;
 }

@@ -1,6 +1,5 @@
 // Reproduces Table IX: sensitivity of SuDoku's FIT rate to cache size
 // (32 / 64 / 128 MB). FIT scales linearly with the number of lines.
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -10,33 +9,24 @@ using namespace sudoku;
 using namespace sudoku::reliability;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, bench::analytical_options());
+  bench::Run run(argc, argv, bench::analytical_options());
   bench::print_header("Table IX: Sensitivity to Cache Size");
 
   const double paper[] = {0.52e-4, 1.05e-4, 2.1e-4};
-  const auto t0 = std::chrono::steady_clock::now();
-  exp::JsonArray rows;
   exp::JsonArray comparison;
-  std::printf("\n  %-10s %18s %18s %12s\n", "Cache", "FIT (strict)",
-              "FIT (mechanistic)", "paper");
+  bench::Table rows({{"Cache", "%4uMB", "cache_mb"},
+                     {"FIT (strict)", "%18s", "fit_strict"},
+                     {"FIT (mechanistic)", "%18s", "fit_mechanistic"},
+                     {"paper", "%12s", ""},
+                     {"vs previous", "%10.2fx", "ratio_vs_previous"}});
   int i = 0;
   double prev_strict = 0;
   for (const std::uint64_t mb : {32, 64, 128}) {
     CacheParams c;
     c.num_lines = mb * (1ull << 20) / 64;
     const double strict = sudoku_z_due(c, SdrModel::kStrict).fit();
-    const double mech = sudoku_z_due(c).fit();
-    std::printf("  %3lluMB %23s %18s %12s", static_cast<unsigned long long>(mb),
-                bench::sci(strict).c_str(), bench::sci(mech).c_str(),
-                bench::sci(paper[i]).c_str());
-    if (prev_strict > 0) std::printf("   (x%.2f vs previous)", strict / prev_strict);
-    std::printf("\n");
-    exp::JsonObject row;
-    row.set("cache_mb", mb)
-        .set("fit_strict", strict)
-        .set("fit_mechanistic", mech)
-        .set("ratio_vs_previous", prev_strict > 0 ? strict / prev_strict : 0.0);
-    rows.push(row);
+    rows.row(mb, strict, sudoku_z_due(c).fit(), paper[i],
+             prev_strict > 0 ? strict / prev_strict : 0.0);
     comparison.push(bench::paper_row(
         std::to_string(mb) + "MB FIT (strict)", paper[i], strict));
     prev_strict = strict;
@@ -48,14 +38,9 @@ int main(int argc, char** argv) {
   CacheParams base;
   config.set("ber", base.ber).set("group_size", base.group_size);
   exp::JsonObject result;
-  result.set("rows", rows).set("paper_comparison", comparison);
+  result.set("rows", rows.json()).set("paper_comparison", comparison);
 
-  exp::RunStats stats;
-  stats.trials = 3;
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  stats.threads = 1;
-  stats.shards = 1;
-  bench::emit_artifact(args, "table9_cache_size", config, result, stats);
+  run.stats.trials = 3;
+  run.finish("table9_cache_size", config, result);
   return 0;
 }

@@ -1,22 +1,39 @@
-// Small shared helpers for the table/figure reproduction binaries: aligned
-// row printing, scientific formatting that matches the paper's tables, and
-// the shared command line handled by every engine-backed bench (JSON
-// emission itself lives in exp/json.h; fault tolerance in exp/checkpoint.h
-// and exp/shutdown.h, documented in docs/robustness.md).
+// The shared plumbing of the table/figure reproduction binaries:
+//   * BenchArgs — the one command line (docs/repro.md, "Command-line
+//     contract");
+//   * Table — console table and JSON rows from one column list;
+//   * Run — the bench runner: engine calls with checkpointing, shard
+//     report and interruption handling (docs/robustness.md), and the
+//     artifact epilogue;
+//   * the paper's Fig. 8 / Fig. 9 workload roster and its with/ideal
+//     simulation pair;
+//   * scientific formatting that matches the paper's tables, and the
+//     batch-sweep accounting of bench_codec_throughput.
 #pragma once
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <filesystem>
 #include <limits>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
+#include "exp/checkpoint.h"
 #include "exp/json.h"
+#include "exp/mc_experiments.h"
+#include "exp/rare_event.h"
 #include "exp/result_sink.h"
 #include "exp/shutdown.h"
+#include "sim/timing_sim.h"
+#include "sim/workload.h"
 
 namespace sudoku::bench {
 
@@ -340,40 +357,314 @@ inline exp::JsonObject paper_row(const std::string& quantity,
   return row;
 }
 
-// Standard artifact epilogue shared by every bench: write the ResultSink
-// artifact (atomic, throws on failure), announce the path, honour --json.
-inline void emit_artifact(const BenchArgs& args, const std::string& name,
-                          const exp::JsonObject& config,
-                          const exp::JsonObject& result, const exp::RunStats& stats,
-                          const obs::MetricsRegistry* metrics = nullptr,
-                          const exp::ShardRunReport* report = nullptr) {
-  const exp::ResultSink sink(args.out_dir);
-  const auto path = sink.write(name, config, result, stats, metrics, report);
-  std::printf("\n  artifact: %s\n", path.string().c_str());
-  if (args.json) {
-    const auto root =
-        exp::ResultSink::make_root(name, config, result, stats, metrics, report);
-    std::printf("%s\n", root.str(/*pretty=*/true).c_str());
-  }
+// ---- bench::Table -------------------------------------------------------
+template <typename... Args>
+std::string format_str(const std::string& fmt, Args... args) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), fmt.c_str(), args...);
+  return buf;
 }
 
-// Call after every engine invocation: when a SIGINT/SIGTERM arrived, the
-// run's remaining shards were skipped, so the final artifact must not be
-// written — announce how to continue and exit with the "interrupted,
-// resumable" code instead (75; see docs/robustness.md).
-inline void exit_if_interrupted(const BenchArgs& args) {
-  if (!sudoku::exp::shutdown_requested()) return;
-  if (args.checkpointing()) {
-    std::fprintf(stderr,
-                 "\ninterrupted: finished shards are checkpointed under '%s'; "
-                 "rerun with --checkpoint=%s --resume to continue\n",
-                 args.checkpoint_dir.c_str(), args.checkpoint_dir.c_str());
-  } else {
-    std::fprintf(stderr,
-                 "\ninterrupted: no artifact written (rerun with "
-                 "--checkpoint=DIR to make runs resumable)\n");
+// One column: console header, cell format, JSON key. `fmt` is a printf
+// format with one conversion and optional literal text ("%9.0fx", "| %8s"):
+// %s prints doubles through sci() and integers in decimal, %d/%u integers,
+// %f/%e/%g numbers; no length modifiers. Empty fmt: JSON-only column;
+// empty key: console-only column.
+struct Column {
+  std::string header, fmt, key;
+};
+
+// One row value. It keeps the C++ type it was built from, so its JSON is
+// exactly what JsonObject::set renders for that type.
+class Cell {
+ public:
+  Cell(const char* v) : v_(std::string(v)) {}
+  Cell(std::string v) : v_(std::move(v)) {}
+  Cell(double v) : v_(v) {}
+  Cell(int v) : v_(std::int64_t{v}) {}
+  Cell(std::int64_t v) : v_(v) {}
+  Cell(unsigned v) : v_(std::uint64_t{v}) {}
+  Cell(std::uint64_t v) : v_(v) {}
+  Cell(bool v) : v_(v) {}
+
+  void set(exp::JsonObject& row, const std::string& key) const {
+    std::visit([&](const auto& v) { row.set(key, v); }, v_);
   }
-  std::exit(sudoku::exp::kExitInterrupted);
+
+  // `spec` is "%" plus flags, width and precision; `conv` the conversion.
+  std::string str(const std::string& spec, char conv) const {
+    return std::visit(
+        [&](const auto& v) -> std::string {
+          using T = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, std::string>) {
+            return format_str(spec + 's', v.c_str());
+          } else if constexpr (std::is_same_v<T, bool>) {
+            return format_str(spec + 's', v ? "yes" : "no");
+          } else if (conv == 's') {
+            const bool real = std::is_same_v<T, double>;
+            return format_str(spec + 's', (real ? sci(v) : std::to_string(v)).c_str());
+          } else if (conv == 'd') {
+            return format_str(spec + "lld", static_cast<long long>(v));
+          } else if (conv == 'u') {
+            return format_str(spec + "llu", static_cast<unsigned long long>(v));
+          } else {
+            return format_str(spec + conv, static_cast<double>(v));
+          }
+        },
+        v_);
+  }
+
+ private:
+  std::variant<std::string, double, std::int64_t, std::uint64_t, bool> v_;
+};
+
+// A console table and its JSON rows from one column list, so each value
+// is named once. The header line prints on construction; row(...) takes
+// one value per column, prints the line and appends the JSON row, which
+// it returns for nested extras.
+class Table {
+ public:
+  explicit Table(const std::vector<Column>& columns) {
+    std::string head;
+    for (const auto& c : columns) {
+      Col col{c.key};
+      if (!c.fmt.empty()) {
+        const std::size_t i = c.fmt.find('%');
+        const std::size_t j = c.fmt.find_first_not_of("-+ #0123456789.", i + 1);
+        col.prefix = c.fmt.substr(0, i);
+        col.spec = c.fmt.substr(i, j - i);
+        col.conv = c.fmt[j];
+        col.suffix = c.fmt.substr(j + 1);
+        // Headers take the cell's width and alignment, not its precision.
+        head += std::string(col.prefix.size() + 1, ' ') +
+                format_str(col.spec.substr(0, col.spec.find('.')) + 's', c.header.c_str()) +
+                std::string(col.suffix.size(), ' ');
+      }
+      cols_.push_back(std::move(col));
+    }
+    if (!head.empty()) std::printf("\n %s\n", head.c_str());
+  }
+
+  template <typename... Ts>
+  exp::JsonObject& row(const Ts&... values) {
+    const Cell cells[] = {Cell(values)...};
+    if (sizeof...(Ts) != cols_.size()) {
+      std::fprintf(stderr, "bench::Table: %zu values for %zu columns\n",
+                   sizeof...(Ts), cols_.size());
+      std::abort();
+    }
+    std::string line;
+    exp::JsonObject& json = rows_.emplace_back();
+    for (std::size_t i = 0; i < cols_.size(); ++i) {
+      const Col& c = cols_[i];
+      if (c.conv) line += ' ' + c.prefix + cells[i].str(c.spec, c.conv) + c.suffix;
+      if (!c.key.empty()) cells[i].set(json, c.key);
+    }
+    if (!line.empty()) std::printf(" %s\n", line.c_str());
+    return json;
+  }
+
+  exp::JsonArray json() const {
+    exp::JsonArray out;
+    for (const auto& r : rows_) out.push(r);
+    return out;
+  }
+
+ private:
+  struct Col {
+    std::string key, prefix, spec, suffix;
+    char conv = 0;  // 0: JSON-only
+  };
+  std::vector<Col> cols_;
+  std::deque<exp::JsonObject> rows_;  // row() hands out references
+};
+
+// ---- bench::Run ---------------------------------------------------------
+// The one bench runner. It parses the command line, owns the engine
+// plumbing (signal handlers, checkpoint store, shard report, per-call
+// ExpOptions, interruption) and writes the artifact:
+//
+//   bench::Run run(argc, argv);                   // engine-backed bench
+//   const auto r = run.mc(cfg, "my_bench.case");  // exits 75 if interrupted
+//   ...
+//   run.finish("my_bench", config, result);       // artifact + summary
+//
+// Engine calls accumulate `stats` and merge their metrics registries. The
+// artifact carries a "metrics" section once an mc()/baseline() call merged
+// one or the bench used metrics() itself — never otherwise. A bench that
+// does its own work instead of calling the engine counts it in
+// stats.trials; finish() then fills in the wall clock since construction
+// and one thread/shard unless the bench set them.
+class Run {
+ public:
+  explicit Run(int argc, char** argv,
+               const BenchArgs::Options& opts = BenchArgs::Options())
+      : args(BenchArgs::parse(argc, argv, opts)) {
+    if (opts.checkpoint) exp::install_signal_handlers();
+    if (args.checkpointing()) store_.emplace(args.checkpoint_dir, args.resume);
+  }
+
+  const BenchArgs args;
+  exp::RunStats stats;  // everything the artifact's "throughput" reports
+  exp::RunStats last;   // the most recent engine call alone
+
+  reliability::McResult mc(const reliability::McConfig& cfg,
+                           const std::string& scope) {
+    auto r = exp::run_montecarlo_parallel(cfg, options(scope), &reset_last());
+    settle();
+    metrics() += r.metrics;
+    return r;
+  }
+
+  baselines::BaselineMcResult baseline(const exp::SchemeFactory& factory,
+                                       const baselines::BaselineMcConfig& cfg,
+                                       const std::string& scope) {
+    auto r = exp::run_baseline_mc_parallel(factory, cfg, options(scope),
+                                           &reset_last());
+    settle();
+    metrics() += r.metrics;
+    return r;
+  }
+
+  exp::RareEventEstimate rare(const exp::RareEventConfig& cfg,
+                              const std::string& scope) {
+    auto est = exp::run_rare_event(cfg, options(scope), &reset_last());
+    settle();
+    return est;
+  }
+
+  // The artifact's metrics registry; touching it puts "metrics" in.
+  obs::MetricsRegistry& metrics() {
+    has_metrics_ = true;
+    return metrics_;
+  }
+
+  // When a SIGINT/SIGTERM arrived, the run's remaining work was skipped,
+  // so no artifact may be written: say how to continue and exit with the
+  // "interrupted, resumable" code (75; docs/robustness.md). Engine calls
+  // check this themselves; call it after other long, uninterruptible steps.
+  void exit_if_interrupted() const {
+    if (!exp::shutdown_requested()) return;
+    if (args.checkpointing()) {
+      std::fprintf(stderr,
+                   "\ninterrupted: finished shards are checkpointed under '%s'; "
+                   "rerun with --checkpoint=%s --resume to continue\n",
+                   args.checkpoint_dir.c_str(), args.checkpoint_dir.c_str());
+    } else {
+      std::fprintf(stderr,
+                   "\ninterrupted: no artifact written (rerun with "
+                   "--checkpoint=DIR to make runs resumable)\n");
+    }
+    std::exit(exp::kExitInterrupted);
+  }
+
+  // Writes <out>/<name>.json atomically (throws on failure), prints the
+  // summary and, when checkpointing or degraded, the fault-tolerance line,
+  // and dumps the same root to stdout under --json.
+  std::filesystem::path finish(const std::string& name,
+                               const exp::JsonObject& config,
+                               const exp::JsonObject& result) {
+    if (!engine_ran_) {
+      stats.wall_seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start_)
+                               .count();
+      if (stats.threads == 0) stats.threads = 1;
+      if (stats.shards == 0) stats.shards = 1;
+    }
+    const auto root = exp::ResultSink::make_root(
+        name, config, result, stats, has_metrics_ ? &metrics_ : nullptr, &report_);
+    const auto path = exp::ResultSink(args.out_dir).write_raw(name, root);
+    std::printf("\n  %llu trials in %.2f s (%s trials/s, %u threads) -> %s\n",
+                static_cast<unsigned long long>(stats.trials), stats.wall_seconds,
+                sci(stats.trials_per_second()).c_str(), stats.threads,
+                path.string().c_str());
+    if (store_ || report_.degraded()) {
+      std::printf("  fault tolerance: %llu/%llu shards resumed, %llu retries, "
+                  "%llu quarantined (%llu trials)\n",
+                  static_cast<unsigned long long>(report_.shards_resumed),
+                  static_cast<unsigned long long>(report_.shards_total),
+                  static_cast<unsigned long long>(report_.shards_retried),
+                  static_cast<unsigned long long>(report_.shards_quarantined),
+                  static_cast<unsigned long long>(report_.trials_quarantined));
+    }
+    if (args.json) std::printf("%s\n", root.str(/*pretty=*/true).c_str());
+    return path;
+  }
+
+ private:
+  exp::ExpOptions options(const std::string& scope) {
+    exp::ExpOptions o;
+    o.threads = args.threads;
+    o.checkpoint = store_ ? &*store_ : nullptr;
+    o.checkpoint_scope = scope;
+    o.report = &report_;
+    o.fleet = args.fleet;
+    return o;
+  }
+
+  exp::RunStats& reset_last() {
+    last = exp::RunStats();
+    return last;
+  }
+
+  void settle() {
+    exit_if_interrupted();
+    stats += last;
+    engine_ran_ = true;
+  }
+
+  const std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
+  std::optional<exp::CheckpointStore> store_;
+  exp::ShardRunReport report_;
+  obs::MetricsRegistry metrics_;
+  bool has_metrics_ = false;
+  bool engine_ran_ = false;
+};
+
+// ---- Fig. 8 / Fig. 9 workloads -----------------------------------------
+struct Workload {
+  std::string label;
+  std::string suite;
+  std::vector<std::string> benchmarks;  // one per core slot
+};
+
+// The paper's roster, one single-benchmark workload each, then its four
+// 8-core MIX workloads.
+inline std::vector<Workload> paper_workloads() {
+  std::vector<Workload> out;
+  for (const auto& b : sim::benchmark_roster()) out.push_back({b.name, b.suite, {b.name}});
+  const std::vector<std::vector<std::string>> mixes = {
+      {"mcf", "gcc", "lbm", "swaptions", "comm1", "mummer", "x264", "soplex"},
+      {"libquantum", "omnetpp", "canneal", "hmmer", "comm2", "tigr", "vips", "astar"},
+      {"bwaves", "xalancbmk", "streamcluster", "gobmk", "comm3", "fasta-dna",
+       "bodytrack", "milc"},
+      {"GemsFDTD", "sjeng", "dedup", "perlbench", "comm4", "sphinx3", "ferret",
+       "leslie3d"},
+  };
+  for (std::size_t m = 0; m < mixes.size(); ++m) {
+    out.push_back({"MIX" + std::to_string(m + 1), "MIX", mixes[m]});
+  }
+  return out;
+}
+
+// One workload on the Table VI system with SuDoku-Z and on the error-free
+// ideal (SuDoku off), same seed and instruction budget.
+struct SimPair {
+  sim::SimResult with;
+  sim::SimResult ideal;
+};
+
+inline SimPair run_sim_pair(const std::vector<std::string>& benchmarks,
+                            std::uint64_t instructions_per_core, std::uint64_t seed) {
+  sim::SimConfig with;
+  with.instructions_per_core = instructions_per_core;
+  with.seed = seed;
+  sim::SimConfig ideal = with;
+  ideal.sudoku.enabled = false;
+  // Braced initializers evaluate in order: the SuDoku run goes first.
+  return {sim::TimingSimulator(with).run(benchmarks),
+          sim::TimingSimulator(ideal).run(benchmarks)};
 }
 
 }  // namespace sudoku::bench

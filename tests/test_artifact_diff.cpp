@@ -4,6 +4,7 @@
 // exit-code contract including the pointed, path-qualified message a
 // perturbed golden must produce.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -185,8 +186,13 @@ TEST(ArtifactDiff, RenderProducesOneLinePerEntry) {
 
 class ArtifactDiffCli : public ::testing::Test {
  protected:
+  // One directory per case, named from the test and the pid: cases run as
+  // parallel processes under ctest -j and must not remove each other's.
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "sudoku_artifact_diff_test";
+    dir_ = std::filesystem::temp_directory_path() /
+           ("sudoku_artifact_diff_" +
+            std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+            "." + std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

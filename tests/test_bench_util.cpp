@@ -1,7 +1,8 @@
 // Covers the shared bench plumbing: the exp JSON emitter (escaping and
-// round-trip-exact number formatting) and the --threads/--seed/--json arg
-// parser in bench_util.h.
+// round-trip-exact number formatting), the --threads/--seed/--json arg
+// parser, and the bench runner (bench::Run, bench::Table) in bench_util.h.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -9,6 +10,7 @@
 #include <initializer_list>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -17,6 +19,25 @@
 
 namespace sudoku::exp {
 namespace {
+
+// A fresh directory per test case, named from the test and the pid, so
+// tests running in parallel processes never share (or delete) each
+// other's files.
+std::filesystem::path case_dir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const auto dir = std::filesystem::temp_directory_path() /
+                   (std::string("sudoku_bench_util_") + info->test_suite_name() +
+                    "." + info->name() + "." + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
 
 TEST(JsonEscape, ControlAndQuoteCharacters) {
   EXPECT_EQ(json_escape("plain"), "plain");
@@ -73,8 +94,7 @@ TEST(JsonObject, PrettyPrintsOneMemberPerLine) {
 }
 
 TEST(ResultSinkTest, WritesArtifactUnderOutDir) {
-  const auto dir = std::filesystem::temp_directory_path() / "sudoku_exp_test_out";
-  std::filesystem::remove_all(dir);
+  const auto dir = case_dir();
   const ResultSink sink(dir);
   JsonObject config, result;
   config.set("seed", std::uint64_t{9});
@@ -86,10 +106,7 @@ TEST(ResultSinkTest, WritesArtifactUnderOutDir) {
   stats.shards = 7;
   const auto path = sink.write("unit_test", config, result, stats);
   EXPECT_EQ(path, dir / "unit_test.json");
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
+  const std::string text = slurp(path);
   EXPECT_NE(text.find("\"experiment\": \"unit_test\""), std::string::npos);
   EXPECT_NE(text.find("\"trials_per_second\":50"), std::string::npos);
   std::filesystem::remove_all(dir);
@@ -373,6 +390,166 @@ TEST(BenchBatchAccounting, BatchedItemsNeverExceedsRequested) {
   }
   EXPECT_EQ(batched_items(200, 64, 4), 200u);
   EXPECT_EQ(batched_items(200, 64, 99), 200u);  // extra batches add nothing
+}
+
+// ---- bench::Table -------------------------------------------------------
+
+TEST(BenchTable, RowsEqualHandBuiltJsonObjects) {
+  ::testing::internal::CaptureStdout();
+  bench::Table table({{"name", "%-6s", "name"},
+                      {"", "", "count"},
+                      {"p", "%9s", "p"},
+                      {"paper", "%9s", ""},
+                      {"n", "%4d", "n"},
+                      {"ok", "%4s", "ok"},
+                      {"big", "%21u", "big"},
+                      {"x", "%6.2fx", "ratio"}});
+  table.row("a", std::uint64_t{42}, 0.25, 1e-4, -3, true,
+            std::uint64_t{18446744073709551615ull}, 2.0);
+  table.row(std::string("b"), 7u, 1.0, 3.0, 0, false, std::uint64_t{0}, 0.5);
+  const std::string console = ::testing::internal::GetCapturedStdout();
+
+  JsonObject a;
+  a.set("name", "a")
+      .set("count", std::uint64_t{42})
+      .set("p", 0.25)
+      .set("n", -3)
+      .set("ok", true)
+      .set("big", std::uint64_t{18446744073709551615ull})
+      .set("ratio", 2.0);
+  JsonObject b;
+  b.set("name", "b")
+      .set("count", 7u)
+      .set("p", 1.0)
+      .set("n", 0)
+      .set("ok", false)
+      .set("big", std::uint64_t{0})
+      .set("ratio", 0.5);
+  JsonArray expected;
+  expected.push(a).push(b);
+  EXPECT_EQ(table.json().str(), expected.str());
+  EXPECT_EQ(table.json().str(true), expected.str(true));
+
+  // Console: header, the console-only paper column through sci(), no
+  // JSON-only count, integers never routed through a double.
+  EXPECT_NE(console.find("name"), std::string::npos);
+  EXPECT_NE(console.find("1.00e-04"), std::string::npos);
+  EXPECT_NE(console.find("18446744073709551615"), std::string::npos);
+  EXPECT_NE(console.find("  2.00x"), std::string::npos);
+  EXPECT_NE(console.find(" yes"), std::string::npos);
+  EXPECT_EQ(console.find("42"), std::string::npos);
+  EXPECT_EQ(table.json().str().find("paper"), std::string::npos);
+}
+
+TEST(BenchTable, RowReturnsTheJsonRowForNestedExtras) {
+  ::testing::internal::CaptureStdout();
+  bench::Table table({{"scheme", "%-8s", "scheme"}});
+  JsonArray series;
+  series.push(0.5);
+  table.row("X").set("series", series);
+  ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(table.json().str(), "[{\"scheme\":\"X\",\"series\":[0.5]}]");
+}
+
+// ---- bench::Run ---------------------------------------------------------
+
+// Parses {"bench", args...} into a Run whose artifacts land in `dir`.
+struct RunArgs {
+  explicit RunArgs(const std::filesystem::path& dir,
+                   std::vector<std::string> extra = {}) {
+    text = {"bench", "--out=" + dir.string()};
+    text.insert(text.end(), extra.begin(), extra.end());
+    for (auto& t : text) argv.push_back(t.data());
+  }
+  int argc() const { return static_cast<int>(argv.size()); }
+  std::vector<std::string> text;
+  std::vector<char*> argv;
+};
+
+reliability::McConfig tiny_mc() {
+  reliability::McConfig cfg;
+  cfg.cache.num_lines = 256;
+  cfg.cache.group_size = 16;
+  cfg.cache.ber = 1e-4;
+  cfg.level = SudokuLevel::kX;
+  cfg.max_intervals = 4;
+  cfg.seed = 3;
+  return cfg;
+}
+
+TEST(BenchRunDeath, EngineCallAfterShutdownExitsInterrupted) {
+  const auto dir = case_dir();
+  EXPECT_EXIT(
+      {
+        RunArgs a(dir);
+        bench::Run run(a.argc(), a.argv.data());
+        request_shutdown();
+        run.mc(tiny_mc(), "shutdown_test");
+        std::exit(0);  // only reached when mc() did not exit
+      },
+      ::testing::ExitedWithCode(kExitInterrupted), "interrupted");
+  EXPECT_FALSE(std::filesystem::exists(dir));  // no artifact, no out dir
+}
+
+TEST(BenchRun, MetricsKeyPresentIffARegistryWasMerged) {
+  reset_shutdown();
+  const auto dir = case_dir();
+  RunArgs a(dir);
+  ::testing::internal::CaptureStdout();
+  {
+    bench::Run run(a.argc(), a.argv.data());
+    run.stats.trials = 1;
+    run.finish("plain", JsonObject{}, JsonObject{});
+  }
+  {
+    bench::Run run(a.argc(), a.argv.data());
+    RareEventConfig rare;
+    rare.base = tiny_mc();
+    rare.base.cache.num_lines = 16;
+    rare.trials = 128;
+    run.rare(rare, "rare_only");
+    run.finish("rare_only", JsonObject{}, JsonObject{});
+  }
+  {
+    bench::Run run(a.argc(), a.argv.data());
+    run.mc(tiny_mc(), "with_mc");
+    run.finish("with_mc", JsonObject{}, JsonObject{});
+  }
+  {
+    bench::Run run(a.argc(), a.argv.data());
+    run.metrics().counter("bench.own")->inc();
+    run.finish("own_registry", JsonObject{}, JsonObject{});
+  }
+  ::testing::internal::GetCapturedStdout();
+  const auto has_metrics = [&](const char* name) {
+    return slurp(dir / (std::string(name) + ".json")).find("\n  \"metrics\": ") !=
+           std::string::npos;
+  };
+  EXPECT_FALSE(has_metrics("plain"));
+  EXPECT_FALSE(has_metrics("rare_only"));
+  EXPECT_TRUE(has_metrics("with_mc"));
+  EXPECT_TRUE(has_metrics("own_registry"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BenchRun, JsonFlagPrintsTheWrittenRoot) {
+  reset_shutdown();
+  const auto dir = case_dir();
+  RunArgs a(dir, {"--json"});
+  bench::Run run(a.argc(), a.argv.data());
+  ::testing::internal::CaptureStdout();
+  const auto r = run.mc(tiny_mc(), "json_root");
+  JsonObject config, result;
+  config.set("seed", std::uint64_t{3});
+  result.set("intervals", r.intervals);
+  const auto path = run.finish("json_root", config, result);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  const std::string file = slurp(path);
+  ASSERT_FALSE(file.empty());
+  ASSERT_GE(out.size(), file.size());
+  EXPECT_EQ(out.substr(out.size() - file.size()), file);
+  EXPECT_EQ(run.stats.trials, 4u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
