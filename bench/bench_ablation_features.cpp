@@ -4,7 +4,7 @@
 // Monte-Carlo bake-off at accelerated BER.
 //
 // The bake-off runs on the src/exp engine: trials shard across the
-// work-stealing pool with per-trial seed streams (bit-identical for any
+// engine's threads with per-trial seed streams (bit-identical for any
 // --threads value), and with --checkpoint=DIR each level's finished shards
 // persist under their own scope so an interrupted sweep resumes mid-ladder.
 #include <cstdio>

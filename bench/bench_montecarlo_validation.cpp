@@ -7,7 +7,7 @@
 // the operating point is computationally meaningless, which is why the
 // paper itself uses analytical models, §VII-A.)
 //
-// Runs on the src/exp engine: trials shard across a work-stealing pool
+// Runs on the src/exp engine: trials shard across the engine's threads
 // with per-trial seed streams, so DUE/SDC counts are bit-identical for any
 // --threads value, and an artifact with the merged results + throughput is
 // written under bench/out/. With --checkpoint=DIR the run is resumable

@@ -2,36 +2,29 @@
 // code correcting up to k faults (10·k check bits). This is the scheme the
 // paper argues against — ECC-6 meets the FIT target but costs 60 bits per
 // line and multi-cycle decoders.
+//
+// ECC-k is the (64 B, k) point of the large-codeword region cache
+// (baselines/region_cache.h), the way Hi-ECC is its (1 KB, t) point:
+// make_ecc_design(64, k) picks GF(2^10), so the code is Bch(10, k, 512)
+// and a region is one line. The LineScheme data path and the batched
+// scrub hook are inherited.
 #pragma once
 
-#include <memory>
-
-#include "baselines/scheme.h"
-#include "codes/bch.h"
+#include "baselines/region_cache.h"
 
 namespace sudoku::baselines {
 
-class EccKCache final : public CacheScheme {
+class EccKCache final : public RegionEccCache {
  public:
-  EccKCache(std::uint64_t num_lines, int k);
+  EccKCache(std::uint64_t num_lines, int k)
+      : RegionEccCache(num_lines, /*region_data_bytes=*/64, k), k_(k) {}
 
-  std::string name() const override;
-  std::uint64_t num_units() const override { return array_.num_lines(); }
-  std::uint32_t bits_per_unit() const override { return array_.bits_per_line(); }
-  SttramArray& array() override { return array_; }
-  const SttramArray& array() const override { return array_; }
-
-  void format_random(Rng& rng) override;
-  ScrubReport scrub_units(std::span<const std::uint64_t> units) override;
-  double overhead_bits_per_line() const override { return 10.0 * k_; }
+  std::string name() const override { return "ECC-" + std::to_string(k_); }
 
   int k() const { return k_; }
-  const Bch& codec() const { return bch_; }
 
  private:
   int k_;
-  Bch bch_;
-  SttramArray array_;
 };
 
 }  // namespace sudoku::baselines

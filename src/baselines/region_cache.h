@@ -1,10 +1,10 @@
 // Generalized large-codeword region cache (ROADMAP item 5): one systematic
 // BCH codeword over a region of N consecutive 64 B cache lines, with the
 // codeword size and correction strength as free axes (codes/ecc_design.h)
-// instead of Hi-ECC's hard-coded ECC-6 over 1 KB. Hi-ECC itself is now the
-// (1 KB, t) instantiation of this scheme (baselines/hiecc_cache.h). It is a
-// LineScheme, so the concurrent service can serve any design point as a
-// bank.
+// instead of Hi-ECC's hard-coded ECC-6 over 1 KB. Hi-ECC is the (1 KB, t)
+// instantiation of this scheme (baselines/hiecc_cache.h) and per-line ECC-k
+// the (64 B, k) one (baselines/ecck_cache.h). It is a LineScheme, so the
+// concurrent service can serve any design point as a bank.
 //
 // The scheme's costs are what the frontier bench measures: every line read
 // decodes the whole region (read amplification = codeword_bits/512), and

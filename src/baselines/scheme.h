@@ -7,8 +7,8 @@
 //
 // LineScheme adds the host data path (format / read / write / lock-free
 // clean probe) for the schemes the concurrent service (service/service.h)
-// serves as banks: SuDoku-X/Y/Z, 2DP, and the region-ECC caches (Hi-ECC and
-// every frontier design point).
+// serves as banks: SuDoku-X/Y/Z, 2DP, and the region-ECC caches (ECC-k,
+// Hi-ECC and every frontier design point).
 #pragma once
 
 #include <cstdint>

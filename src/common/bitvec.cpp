@@ -40,18 +40,17 @@ std::size_t BitVec::popcount() const {
   return n;
 }
 
-std::vector<std::size_t> BitVec::set_positions(std::size_t limit) const {
-  std::vector<std::size_t> out;
+void BitVec::set_positions(std::vector<std::size_t>& out, std::size_t limit) const {
+  out.clear();
   for (std::size_t wi = 0; wi < words_.size(); ++wi) {
     std::uint64_t w = words_[wi];
     while (w != 0) {
       const int b = std::countr_zero(w);
       out.push_back(wi * 64 + static_cast<std::size_t>(b));
-      if (limit != 0 && out.size() >= limit) return out;
+      if (limit != 0 && out.size() >= limit) return;
       w &= w - 1;
     }
   }
-  return out;
 }
 
 std::uint64_t BitVec::get_bits(std::size_t pos, unsigned nbits) const {

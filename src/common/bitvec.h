@@ -39,9 +39,10 @@ class BitVec {
   bool none() const { return !any(); }
   std::size_t popcount() const;
 
-  // Positions of set bits, ascending. `limit` caps the scan (0 = no cap);
-  // used by SDR, which gives up beyond 6 mismatches anyway.
-  std::vector<std::size_t> set_positions(std::size_t limit = 0) const;
+  // Replace `out` with the positions of set bits, ascending. `limit` caps
+  // the scan (0 = no cap); used by SDR, which gives up beyond 6 mismatches
+  // anyway and passes scratch, so a warm `out` allocates nothing.
+  void set_positions(std::vector<std::size_t>& out, std::size_t limit = 0) const;
 
   // Read/write a field of up to 64 bits starting at `pos`, word-parallel
   // (at most two word accesses). Bit `pos` lands in bit 0 of the result.

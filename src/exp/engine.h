@@ -1,5 +1,5 @@
 // The sharded experiment runner: fans a shard plan out over the thread
-// pool and merges results deterministically — now with shard-granular
+// pool and merges results deterministically, with shard-granular
 // checkpoint/resume, trial quarantine, and cooperative shutdown.
 //
 // Contract. `run(shard, early)` must return the shard's result computed
@@ -19,7 +19,7 @@
 //     bytes (round-trip-exact codec), so resumed artifacts are
 //     byte-identical by construction.
 //   * quarantine  — a shard body that throws is retried (same seeds) up to
-//     max_attempts total tries, then excluded from the merge; the run
+//     kShardAttempts total tries, then excluded from the merge; the run
 //     degrades instead of dying and the report says exactly what is gone.
 //   * shutdown    — once exp::shutdown_requested() turns true, unstarted
 //     shards are skipped, in-flight shards finish or abandon through their
@@ -52,6 +52,9 @@
 
 namespace sudoku::exp {
 
+// Tries per shard before a throwing shard is quarantined.
+inline constexpr unsigned kShardAttempts = 3;
+
 template <typename Result>
 struct RunShardedOptions {
   std::uint64_t target_failures = 0;
@@ -61,13 +64,6 @@ struct RunShardedOptions {
   CheckpointKey key{};
   std::function<std::string(const Result&)> encode;
   std::function<std::optional<Result>(const std::string&)> decode;
-
-  // Quarantine policy. When off, a throwing shard propagates out of
-  // run_sharded (via the pool's first-exception rethrow) — the documented
-  // fallback. When on, each shard gets max_attempts tries before being
-  // excluded from the merge.
-  bool quarantine = false;
-  unsigned max_attempts = 3;
 
   ShardRunReport* report = nullptr;
 
@@ -153,7 +149,6 @@ Result run_sharded(ThreadPool& pool, const std::vector<Shard>& shards,
   // including quarantine, so sibling workers can attempt the shard
   // themselves instead of waiting on our claim forever.
   const auto execute_shard = [&](std::uint64_t k) {
-    const unsigned max_attempts = opt.quarantine ? std::max(opt.max_attempts, 1u) : 1;
     for (unsigned attempt = 1;; ++attempt) {
       try {
         std::optional<Result> r = run(shards[k], early);
@@ -175,10 +170,6 @@ Result run_sharded(ThreadPool& pool, const std::vector<Shard>& shards,
         if (opt.queue) opt.queue->release(shards[k].index);
         return;
       } catch (...) {
-        if (!opt.quarantine) {
-          if (opt.queue) opt.queue->release(shards[k].index);
-          throw;  // fallback: pool rethrows to the caller
-        }
         std::string what = "unknown exception";
         ShardErrorKind kind = ShardErrorKind::kUnknownException;
         try {
@@ -189,7 +180,7 @@ Result run_sharded(ThreadPool& pool, const std::vector<Shard>& shards,
         } catch (...) {
         }
         note_error(shards[k].index, kind, attempt, std::move(what));
-        if (attempt >= max_attempts) {
+        if (attempt >= kShardAttempts) {
           states[k] = ShardState::kQuarantined;
           if (opt.report) {
             std::lock_guard<std::mutex> lock(report_mutex);
@@ -199,8 +190,8 @@ Result run_sharded(ThreadPool& pool, const std::vector<Shard>& shards,
           if (opt.queue) opt.queue->release(shards[k].index);
           return;
         }
-        // Retry with the same seeds on whatever worker picks it up next —
-        // per-trial seed streams make a clean retry bit-identical.
+        // Retry with the same seeds — per-trial seed streams make a clean
+        // retry bit-identical.
         if (opt.report) {
           std::lock_guard<std::mutex> lock(report_mutex);
           ++opt.report->shards_retried;
@@ -294,16 +285,6 @@ Result run_sharded(ThreadPool& pool, const std::vector<Shard>& shards,
     }
   }
   return merged;
-}
-
-// Plain entry point: deterministic shard merge with early stop, no
-// checkpointing, no quarantine (a throwing shard propagates).
-template <typename Result, typename RunFn>
-Result run_sharded(ThreadPool& pool, const std::vector<Shard>& shards,
-                   std::uint64_t target_failures, RunFn&& run) {
-  RunShardedOptions<Result> opt;
-  opt.target_failures = target_failures;
-  return run_sharded<Result>(pool, shards, opt, std::forward<RunFn>(run));
 }
 
 }  // namespace sudoku::exp

@@ -120,8 +120,6 @@ RunShardedOptions<Result> make_engine_options(
     std::optional<Result> (*decode)(const std::string&)) {
   RunShardedOptions<Result> opt;
   opt.target_failures = target_failures;
-  opt.quarantine = true;
-  opt.max_attempts = options.max_attempts;
   opt.report = options.report;
   opt.after_shard = options.after_shard;
   if (options.checkpoint) {
@@ -148,7 +146,6 @@ void attach_fleet(const ExpOptions& options, RunShardedOptions<Result>& opt,
         "store is how workers coordinate)");
   }
   WorkQueueOptions qopt;
-  qopt.lease = std::chrono::milliseconds(options.lease_ms);
   qopt.poll = std::chrono::milliseconds(options.poll_ms);
   queue.emplace(opt.checkpoint, opt.key, qopt);
   opt.queue = &*queue;

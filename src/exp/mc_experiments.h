@@ -1,12 +1,12 @@
 // Engine adapters for the two Monte-Carlo harnesses: shard the interval
-// budget, run each shard with per-trial seed streams on the work-stealing
-// pool, and merge deterministically. Merged counts are bit-identical for
+// budget, run each shard with per-trial seed streams on the engine's
+// threads, and merge deterministically. Merged counts are bit-identical for
 // any thread count (see docs/exp_engine.md for the exact contract).
 //
 // Fault tolerance (docs/robustness.md): pass a CheckpointStore to persist
 // every finished shard and replay them on resume; pass a ShardRunReport to
-// get quarantine/retry/interrupt accounting. Both harnesses always run
-// with quarantine on — a throwing trial degrades the campaign instead of
+// get quarantine/retry/interrupt accounting. A throwing trial is retried
+// and then quarantined (exp/engine.h): it degrades the campaign instead of
 // terminating it.
 #pragma once
 
@@ -27,7 +27,7 @@
 namespace sudoku::exp {
 
 struct ExpOptions {
-  unsigned threads = 0;     // pool width; 0 = one per hardware thread
+  unsigned threads = 0;     // engine threads; 0 = one per hardware thread
   std::uint64_t chunk = 0;  // trials per shard; 0 = default_chunk(total)
 
   // ---- fault tolerance ----
@@ -39,8 +39,6 @@ struct ExpOptions {
   // BaselineMcConfig driven through different schemes). Also names the
   // checkpoint subdirectory.
   std::string checkpoint_scope;
-  // Tries per shard before quarantine (minimum 1).
-  unsigned max_attempts = 3;
   // Accumulates resume/retry/quarantine/interrupt accounting across calls.
   ShardRunReport* report = nullptr;
   // Progress/test hook: fired after each live shard completes.
@@ -52,9 +50,9 @@ struct ExpOptions {
   // split one experiment and each merge the same bit-identical result.
   // Requires `checkpoint` (the store is the coordination medium); the
   // adapters throw std::runtime_error if fleet is requested without it.
+  // A claim older than WorkQueueOptions::lease with no published result is
+  // stealable.
   bool fleet = false;
-  // Claim lease: a claim this old with no published result is stealable.
-  unsigned lease_ms = 10000;
   // Sleep between polls of a sibling-owned shard in the wait pass.
   unsigned poll_ms = 20;
 };

@@ -1,68 +1,36 @@
-// Work-stealing thread pool for the experiment engine. Each worker owns a
-// deque — LIFO for the owner (cache-warm), FIFO for thieves — fed by a
-// global injector queue for tasks submitted from outside the pool. Workers
-// that find nothing locally scan the injector, then steal round-robin from
-// the other workers, then park on a condition variable until new work is
-// announced — an idle pool consumes no CPU, which matters when it backs a
-// long-lived service (src/service keeps its scrub pool alive between
-// bursts). submit() elides the wake syscall when no worker is parked: the
-// parked-worker count and the pending-task count are both seq_cst, so the
-// submitter's "pending then sleepers" store-load and the parker's
-// "sleepers then pending" store-load cannot both miss (at least one side
-// observes the other; no lost wakeup).
+// Shard runner for the experiment engine: parallel_for over plain threads.
+// Each call starts min(size(), n) threads that claim indices in ascending
+// order from one atomic counter, and joins them before it returns, so
+// nothing outlives the call and an idle engine holds no threads.
 //
-// Determinism note: the pool schedules shards in whatever order the OS
-// lets it; reproducibility is the *engine's* job (per-trial seed streams +
+// Determinism note: which thread runs which index, and when, is up to the
+// OS; reproducibility is the *engine's* job (per-trial seed streams +
 // order-independent merges, see engine.h) — nothing here is ordered.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <thread>
-#include <vector>
 
 namespace sudoku::exp {
 
 class ThreadPool {
  public:
-  using Task = std::function<void()>;
+  // 0 = one thread per hardware thread.
+  explicit ThreadPool(unsigned num_threads = 0)
+      : size_(num_threads ? num_threads : hardware_threads()) {}
 
-  // 0 = one worker per hardware thread.
-  explicit ThreadPool(unsigned num_threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Enqueue a task. From a worker thread it lands on that worker's own
-  // deque (LIFO end); from any other thread it goes to the injector.
-  //
-  // Exceptions are caught at the task boundary (a throwing task can never
-  // std::terminate the pool): the first one is stashed and rethrown from
-  // the next wait_idle() call.
-  void submit(Task task);
-
-  // Block until every task submitted so far has finished executing. Must
-  // not be called from inside a pool task. Rethrows the first exception
-  // any submit()ed task threw since the last wait_idle().
-  void wait_idle();
-
-  // Run fn(0..n-1), each index as one pool task, and block until all have
-  // finished. Must not be called from inside a pool task.
+  // Run fn(0..n-1), each index exactly once, on up to size() threads, and
+  // return once all have finished. With one thread the indices run in
+  // ascending order on that thread.
   //
   // A throwing fn(i) does not tear anything down: every other index still
-  // runs to completion, and the first exception (in completion order) is
-  // rethrown to the caller after the join. Callers wanting finer-grained
-  // policy (retry, quarantine) catch inside fn — see exp/engine.h.
+  // runs, and the first exception (in completion order) is rethrown to the
+  // caller after the join. Callers wanting finer-grained policy (retry,
+  // quarantine) catch inside fn — see exp/engine.h.
   void parallel_for(std::uint64_t n, const std::function<void(std::uint64_t)>& fn);
 
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
+  unsigned size() const { return size_; }
 
   static unsigned hardware_threads() {
     const unsigned n = std::thread::hardware_concurrency();
@@ -70,33 +38,7 @@ class ThreadPool {
   }
 
  private:
-  struct Worker {
-    std::mutex mutex;
-    std::deque<Task> deque;  // owner pops back, thieves pop front
-  };
-
-  void worker_loop(unsigned index);
-  bool try_pop_local(unsigned index, Task& out);
-  bool try_pop_injector(Task& out);
-  bool try_steal(unsigned index, Task& out);
-  void finish_task();
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-
-  std::mutex injector_mutex_;  // also guards sleep/wake handshakes
-  std::condition_variable work_cv_;
-  std::deque<Task> injector_;
-  std::atomic<std::uint64_t> pending_{0};    // queued, not yet started
-  std::atomic<std::uint64_t> in_flight_{0};  // queued or executing
-  std::atomic<unsigned> sleepers_{0};        // workers parked on work_cv_
-  bool stop_ = false;
-
-  std::mutex idle_mutex_;
-  std::condition_variable idle_cv_;
-
-  std::mutex error_mutex_;           // guards first_error_
-  std::exception_ptr first_error_;   // from submit()ed tasks; see wait_idle()
+  unsigned size_;
 };
 
 }  // namespace sudoku::exp

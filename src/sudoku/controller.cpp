@@ -282,7 +282,8 @@ const SudokuController::Lines& SudokuController::repair_group(std::uint64_t grou
     plt(which_hash).read(group, mismatch);
     xor_group_into(group, which_hash, mismatch);
     const std::uint32_t cap = config_.sdr_mismatch_cap();
-    const auto positions = mismatch.set_positions(cap + 1);
+    std::vector<std::size_t>& positions = positions_;
+    mismatch.set_positions(positions, cap + 1);
     if (positions.empty() || positions.size() > cap) break;
     OBS_OBSERVE(obs_.sdr_mismatch_bits, positions.size());
 

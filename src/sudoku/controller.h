@@ -165,10 +165,11 @@ class SudokuController {
   Instruments obs_;
 
   // Scratch, so that repairs allocate nothing: a parity read (RAID-4, SDR
-  // mismatch), a stored line (check_line, SDR trials, format) and
-  // repair_group's result per hash.
+  // mismatch), a stored line (check_line, SDR trials, format), the SDR
+  // mismatch positions and repair_group's result per hash.
   BitVec parity_;
   BitVec line_;
+  std::vector<std::size_t> positions_;
   using Lines = std::vector<std::uint64_t>;
   Lines bad_[2];
 

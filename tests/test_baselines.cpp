@@ -87,6 +87,37 @@ TEST_P(EccKParam, NeverReportsCleanBeyondK) {
   }
 }
 
+TEST_P(EccKParam, ServesLinesAsALineScheme) {
+  // ECC-k is the (64 B, k) region cache, so it serves host reads and
+  // writes: up to k faults read back kCorrected with the written data, and
+  // k+1 faults (below the code's distance 2k+1) never read back kClean.
+  const int k = GetParam();
+  EccKCache cache(64, k);
+  LineScheme& bank = cache;
+  bank.format([](std::uint64_t line) {
+    BitVec data(512);
+    data.set(line);
+    return data;
+  });
+  Rng rng(300 + k);
+  for (std::uint64_t line = 0; line < 8; ++line) {
+    BitVec data(512);
+    for (int i = 0; i < 40; ++i) data.set(rng.next_below(512));
+    bank.write(line, data);
+    for (int faults = 1; faults <= k; ++faults) {
+      inject(cache, line, faults, rng);
+      const ReadResult r = bank.read(line);
+      EXPECT_EQ(static_cast<int>(r.status), static_cast<int>(ReadStatus::kCorrected))
+          << "line " << line << ", " << faults << " faults";
+      EXPECT_EQ(r.data, data) << "line " << line << ", " << faults << " faults";
+    }
+    inject(cache, line, k + 1, rng);
+    EXPECT_NE(static_cast<int>(bank.read(line).status),
+              static_cast<int>(ReadStatus::kClean))
+        << "line " << line;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Tolerances, EccKParam, ::testing::Values(1, 2, 4, 6));
 
 TEST(EccKCache, OverheadMatchesPaper) {

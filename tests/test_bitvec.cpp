@@ -72,7 +72,8 @@ TEST(BitVec, SetPositionsAscending) {
   v.set(5);
   v.set(64);
   v.set(552);
-  const auto pos = v.set_positions();
+  std::vector<std::size_t> pos;
+  v.set_positions(pos);
   ASSERT_EQ(pos.size(), 3u);
   EXPECT_EQ(pos[0], 5u);
   EXPECT_EQ(pos[1], 64u);
@@ -82,8 +83,23 @@ TEST(BitVec, SetPositionsAscending) {
 TEST(BitVec, SetPositionsHonorsLimit) {
   BitVec v(100);
   for (int i = 0; i < 20; ++i) v.set(i * 5);
-  EXPECT_EQ(v.set_positions(7).size(), 7u);
-  EXPECT_EQ(v.set_positions(0).size(), 20u);
+  std::vector<std::size_t> pos;
+  v.set_positions(pos, 7);
+  EXPECT_EQ(pos.size(), 7u);
+  v.set_positions(pos, 0);
+  EXPECT_EQ(pos.size(), 20u);
+  EXPECT_EQ(pos.back(), 95u);
+}
+
+TEST(BitVec, SetPositionsReplacesPreviousContents) {
+  BitVec v(100);
+  v.set(42);
+  std::vector<std::size_t> pos = {1, 2, 3};
+  v.set_positions(pos);
+  EXPECT_EQ(pos, std::vector<std::size_t>{42});
+  v.clear();
+  v.set_positions(pos);
+  EXPECT_TRUE(pos.empty());
 }
 
 TEST(BitVec, DistanceCountsDifferingBits) {

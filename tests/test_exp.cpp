@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "baselines/cppc_cache.h"
@@ -118,14 +121,6 @@ TEST(EarlyStopTracker, ZeroTargetNeverTriggers) {
 
 // ---- thread pool -----------------------------------------------------
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
 TEST(ThreadPool, ParallelForCoversEachIndexOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(257);
@@ -133,10 +128,35 @@ TEST(ThreadPool, ParallelForCoversEachIndexOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPool, OneThreadRunsIndicesInAscendingOrder) {
+  ThreadPool pool(1);
+  std::vector<std::uint64_t> order;
+  pool.parallel_for(100, [&](std::uint64_t i) { order.push_back(i); });
+  ASSERT_EQ(order.size(), 100u);
+  for (std::uint64_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ThreadPool, FewerIndicesThanThreadsUseAtMostThatManyThreads) {
+  ThreadPool pool(8);
+  EXPECT_EQ(pool.size(), 8u);
+  for (std::uint64_t n : {1u, 2u, 3u}) {
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    pool.parallel_for(n, [&](std::uint64_t) {
+      // Hold each index long enough that idle threads would pick up work.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      std::lock_guard<std::mutex> lock(mutex);
+      ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(ids.size(), n);
+    EXPECT_EQ(ids.count(std::this_thread::get_id()), 0u);  // never the caller
+  }
+}
+
 TEST(ThreadPool, BackToBackTinyParallelForsAllReturnAndJoin) {
   // Tiny bodies finish while the caller is still on its way into the
-  // wait: the last task must be done with parallel_for's stack state
-  // before the caller may return. Every pool must also join cleanly.
+  // join: parallel_for must not return before every index has run, and
+  // every call must join its threads cleanly.
   std::uint64_t total = 0;
   for (int round = 0; round < 20; ++round) {
     ThreadPool pool(2);
@@ -147,19 +167,6 @@ TEST(ThreadPool, BackToBackTinyParallelForsAllReturnAndJoin) {
     total += ran.load();
   }
   EXPECT_EQ(total, 20u * (334 * 1 + 333 * 2 + 333 * 3));
-}
-
-TEST(ThreadPool, NestedSubmitFromWorker) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&] {
-      // Lands on the submitting worker's own deque; thieves may take it.
-      pool.submit([&] { count.fetch_add(1); });
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 10);
 }
 
 // ---- thread pool exception propagation --------------------------------
@@ -193,17 +200,6 @@ TEST(ThreadPool, ParallelForReportsFirstOfManyExceptions) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("task "), std::string::npos);
   }
-}
-
-TEST(ThreadPool, BareSubmitErrorSurfacesAtWaitIdle) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::logic_error("stray"); });
-  EXPECT_THROW(pool.wait_idle(), std::logic_error);
-  // The stored error is consumed: the next quiescent wait is clean.
-  std::atomic<int> count{0};
-  pool.submit([&] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
 }
 
 // ---- engine determinism ----------------------------------------------
@@ -312,36 +308,21 @@ TEST(ExpEngine, RunShardedMergesInShardOrderWithCutoff) {
     r.failure_intervals = 1;  // every shard "fails" once
     return std::optional<ToyResult>(r);
   };
-  const auto all = run_sharded<ToyResult>(pool, shards, 0, run);
+  const auto all = run_sharded<ToyResult>(pool, shards, {}, run);
   EXPECT_EQ(all.sum, 99u * 100u / 2);
   EXPECT_EQ(all.failure_intervals, 10u);
 
   // target 3 => merge exactly shards 0..2 regardless of execution order.
-  const auto cut = run_sharded<ToyResult>(pool, shards, 3, run);
+  const auto cut = run_sharded<ToyResult>(pool, shards, {.target_failures = 3}, run);
   EXPECT_EQ(cut.failure_intervals, 3u);
   EXPECT_EQ(cut.sum, 29u * 30u / 2);
-}
-
-TEST(ExpEngine, LegacyOverloadPropagatesShardExceptions) {
-  const auto shards = make_shards(40, 10);
-  ThreadPool pool(4);
-  // Without a quarantine policy the engine must not swallow the error.
-  EXPECT_THROW(run_sharded<ToyResult>(
-                   pool, shards, 0,
-                   [](const Shard& s, const EarlyStop&) -> std::optional<ToyResult> {
-                     if (s.index == 2) throw std::runtime_error("shard blew up");
-                     return ToyResult{};
-                   }),
-               std::runtime_error);
 }
 
 TEST(ExpEngine, QuarantineExcludesPersistentlyThrowingShard) {
   const auto shards = make_shards(100, 10);
   ThreadPool pool(4);
   ShardRunReport report;
-  RunShardedOptions<ToyResult> opt;
-  opt.quarantine = true;
-  opt.max_attempts = 3;
+  RunShardedOptions<ToyResult> opt;  // quarantine needs no option
   opt.report = &report;
   std::atomic<int> attempts_on_bad{0};
   const auto merged = run_sharded<ToyResult>(
@@ -355,7 +336,8 @@ TEST(ExpEngine, QuarantineExcludesPersistentlyThrowingShard) {
         r.sum = s.count;
         return r;
       });
-  EXPECT_EQ(attempts_on_bad.load(), 3);  // retried to max_attempts
+  EXPECT_EQ(attempts_on_bad.load(), 3);  // retried to kShardAttempts
+  EXPECT_EQ(kShardAttempts, 3u);
   EXPECT_EQ(merged.sum, 90u);            // 9 healthy shards of 10 trials
   EXPECT_TRUE(report.degraded());
   EXPECT_EQ(report.shards_total, 10u);
@@ -376,8 +358,6 @@ TEST(ExpEngine, TransientThrowRecoversViaRetryWithoutDegrading) {
   ThreadPool pool(4);
   ShardRunReport report;
   RunShardedOptions<ToyResult> opt;
-  opt.quarantine = true;
-  opt.max_attempts = 3;
   opt.report = &report;
   std::atomic<int> failures_left{2};  // shard 1 fails twice, then succeeds
   const auto merged = run_sharded<ToyResult>(
@@ -395,6 +375,59 @@ TEST(ExpEngine, TransientThrowRecoversViaRetryWithoutDegrading) {
   EXPECT_EQ(report.shards_retried, 2u);
   EXPECT_EQ(report.shards_quarantined, 0u);
   EXPECT_EQ(report.errors.size(), 2u);
+}
+
+TEST(ExpEngine, AdapterQuarantinesAThrowingShardWithDefaultOptions) {
+  // A scheme factory that throws on every call throws inside every shard
+  // body; the adapter quarantines each shard instead of propagating.
+  baselines::BaselineMcConfig cfg;
+  cfg.ber = 2e-4;
+  cfg.max_intervals = 64;
+  cfg.seed = 5;
+  std::atomic<int> calls{0};
+  const SchemeFactory factory = [&]() -> std::unique_ptr<baselines::CacheScheme> {
+    calls.fetch_add(1);
+    throw std::runtime_error("scheme construction failed");
+  };
+  ShardRunReport report;
+  const auto r = run_baseline_mc_parallel(
+      factory, cfg, {.threads = 2, .chunk = 16, .report = &report});
+  EXPECT_EQ(r.intervals, 0u);
+  EXPECT_EQ(report.shards_total, 4u);
+  EXPECT_EQ(report.shards_quarantined, 4u);
+  EXPECT_EQ(report.trials_quarantined, 64u);
+  EXPECT_EQ(calls.load(), static_cast<int>(4 * kShardAttempts));
+  EXPECT_TRUE(report.degraded());
+}
+
+// Per-thread counts of shard bodies begun and after_shard calls seen. The
+// engine starts fresh threads for every run, so both start at zero.
+thread_local int shards_begun_here = 0;
+thread_local int shards_reported_here = 0;
+
+TEST(ExpEngine, AfterShardFiresOnTheThreadThatRanTheShard) {
+  baselines::BaselineMcConfig cfg;
+  cfg.ber = 2e-4;
+  cfg.max_intervals = 96;
+  cfg.seed = 5;
+  const SchemeFactory factory = [] {
+    ++shards_begun_here;
+    return std::make_unique<baselines::CppcCache>(1ull << 10);
+  };
+  std::atomic<int> reports{0}, mismatches{0}, on_caller{0};
+  const auto caller = std::this_thread::get_id();
+  ExpOptions opt{.threads = 4, .chunk = 8};
+  opt.after_shard = [&](const Shard&) {
+    reports.fetch_add(1);
+    // On the shard's own thread this call pairs with the factory call the
+    // shard just made there.
+    if (++shards_reported_here != shards_begun_here) mismatches.fetch_add(1);
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+  };
+  run_baseline_mc_parallel(factory, cfg, opt);
+  EXPECT_EQ(reports.load(), 12);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(on_caller.load(), 0);
 }
 
 TEST(ExpEngine, QuarantineReportMetricsSurface) {

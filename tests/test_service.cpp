@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/ecck_cache.h"
 #include "baselines/hiecc_cache.h"
 #include "baselines/twodp_cache.h"
 #include "common/rng.h"
@@ -607,6 +608,11 @@ INSTANTIATE_TEST_SUITE_P(
                        [] { return std::make_unique<baselines::HiEccCache>(256); },
                        256, 16, {1, 100, 515, 3000, 7000, 8200}, ReadStatus::kCorrected,
                        {1, 2, 3, 600, 601, 602, 5000, 5001}},
+        // ECC-4 per 64 B line: the (64 B, 4) region point.
+        LineSchemeCase{"Ecc4",
+                       [] { return std::make_unique<baselines::EccKCache>(256, 4); },
+                       256, 1, {3, 200, 511, 540}, ReadStatus::kCorrected,
+                       {1, 2, 3, 4, 5, 300, 301}},
         // A frontier point off the 1 KB axis: ECC-3 over 512 B regions.
         LineSchemeCase{"Region512Bt3",
                        [] { return std::make_unique<baselines::RegionEccCache>(256, 512, 3); },
