@@ -20,6 +20,9 @@ class EccKCache final : public RegionEccCache {
       : RegionEccCache(num_lines, /*region_data_bytes=*/64, k), k_(k) {}
 
   std::string name() const override { return "ECC-" + std::to_string(k_); }
+  std::unique_ptr<CacheScheme> clone() const override {
+    return std::make_unique<EccKCache>(*this);
+  }
 
   int k() const { return k_; }
 

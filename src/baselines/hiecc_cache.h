@@ -24,6 +24,9 @@ class HiEccCache final : public RegionEccCache {
   std::string name() const override {
     return "Hi-ECC(ECC-" + std::to_string(t_) + "/1KB)";
   }
+  std::unique_ptr<CacheScheme> clone() const override {
+    return std::make_unique<HiEccCache>(*this);
+  }
 
   static constexpr std::uint32_t kLinesPerRegion = 16;
   static constexpr std::uint32_t kRegionDataBits = 8192;

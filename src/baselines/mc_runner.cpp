@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/prob.h"
@@ -26,7 +28,18 @@ BaselineMcResult& BaselineMcResult::operator+=(const BaselineMcResult& other) {
   return *this;
 }
 
-IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& config,
+Rng format_for_run(CacheScheme& scheme, const BaselineMcConfig& config) {
+  // In per-trial-stream mode the format draws from the reserved stream, so
+  // it does not depend on the shard's trial range and one prototype serves
+  // every shard; the kernel then reseeds the returned Rng per interval.
+  Rng rng(config.per_trial_seed_streams ? Rng::derive_stream_seed(config.seed, kFormatStream)
+                                        : config.seed);
+  scheme.format_random(rng);
+  return rng;
+}
+
+IntervalCounts run_interval_kernel(CacheScheme& scheme, const SttramArray& shared_golden,
+                                   Rng& rng, const BaselineMcConfig& config,
                                    const KernelHooks& hooks) {
   const faults::FaultScenario* scenario = config.scenario;
   if (scenario) {
@@ -43,15 +56,11 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& 
     }
   }
 
-  // In per-trial-stream mode formatting uses the reserved stream so every
-  // shard of an experiment holds identical golden contents; the same Rng
-  // object is then reseeded per interval from that trial's stream.
-  Rng rng(config.per_trial_seed_streams
-              ? Rng::derive_stream_seed(config.seed, kFormatStream)
-              : config.seed);
-  scheme.format_random(rng);
-  // Golden copy of every stored unit for SDC detection and refill.
-  SttramArray golden = scheme.array();
+  // Host writes store new golden data, so only a run with them copies the
+  // golden image; every other run reads the shared one.
+  std::optional<SttramArray> own_golden;
+  if (hooks.host_writes) own_golden.emplace(shared_golden);
+  const SttramArray& golden = own_golden ? *own_golden : shared_golden;
   SttramArray& array = scheme.array();
   // Scratch for golden units: the compares below run per touched unit per
   // interval and must not allocate.
@@ -75,6 +84,7 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& 
   IntervalCounts counts;
   std::vector<std::uint64_t> touched;
   std::vector<std::uint64_t> flips;  // flat positions; a scenario's are sorted
+  faults::ActiveStuck stuck;         // a scenario's, refilled every interval
   for (std::uint64_t interval = 0; interval < config.max_intervals; ++interval) {
     if (config.stop_hook && config.stop_hook()) break;
     const std::uint64_t t = config.first_trial + interval;
@@ -84,12 +94,11 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& 
     // A scenario draws from its own per-(source, interval) streams keyed by
     // the global trial index, so its outcome is independent of sharding.
     // The i.i.d. draws are exactly sample_interval's (sample_exact's).
-    faults::ActiveStuck stuck;
     std::uint64_t drawn = 0;
     if (scenario) {
       faults::ScenarioTick tick;
       scenario->transient_positions(t, flips, &tick);
-      stuck = scenario->stuck(t);
+      scenario->stuck(t, stuck);
       drawn = tick.transient_bits;
       OBS_ADD(m_transient, tick.transient_bits);
       OBS_ADD(m_stuck, stuck.cells().size());
@@ -123,7 +132,9 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& 
     } else {
       // The FaultBatch iteration order, which sets SuDoku-Z's repair split.
       injector.batch_order(flips, touched);
-      if (hooks.host_writes) counts.faults_injected += hooks.host_writes(rng, golden, touched);
+      if (hooks.host_writes) {
+        counts.faults_injected += hooks.host_writes(rng, *own_golden, touched);
+      }
     }
 
     // ---- scrub ----
@@ -193,6 +204,13 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& 
 }
 
 BaselineMcResult run_baseline_mc(CacheScheme& scheme, const BaselineMcConfig& config) {
+  const Rng rng = format_for_run(scheme, config);
+  return run_baseline_mc(scheme, rng, config);
+}
+
+BaselineMcResult run_baseline_mc(const CacheScheme& prototype, Rng rng,
+                                 const BaselineMcConfig& config) {
+  const std::unique_ptr<CacheScheme> scheme = prototype.clone();
   BaselineMcResult result;
   KernelHooks hooks;
 #if SUDOKU_OBS_ENABLED
@@ -206,7 +224,7 @@ BaselineMcResult run_baseline_mc(CacheScheme& scheme, const BaselineMcConfig& co
   hooks.faults_per_interval =
       m.histogram("baseline.faults_per_interval", kFaultsPerIntervalEdges);
 #endif
-  const IntervalCounts c = run_interval_kernel(scheme, config, hooks);
+  const IntervalCounts c = run_interval_kernel(*scheme, prototype.array(), rng, config, hooks);
   result.intervals = c.intervals;
   result.faults_injected = c.faults_injected;
   result.corrected = c.corrected;

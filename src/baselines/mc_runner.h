@@ -19,6 +19,12 @@
 //             touched unit is written back to golden, so each interval
 //             starts and ends in canonical state.
 //
+// One formatted image per experiment: a run starts from a prototype scheme
+// that format_for_run formatted, and works on a clone of it. The
+// prototype's array is the run's golden snapshot and is only read, so the
+// shards of one experiment (src/exp) share one prototype and none of them
+// formats or copies a golden of its own.
+//
 // reliability::run_montecarlo (SuDoku) and run_baseline_mc (below) are thin
 // front-ends over run_interval_kernel: they fill its inputs and map its
 // counts onto their result structs.
@@ -43,10 +49,11 @@ struct BaselineMcConfig {
   // Experiment-engine hooks. In per-trial-stream mode interval t draws all
   // of its randomness from an Rng seeded with
   // Rng::derive_stream_seed(seed, first_trial + t), and formatting uses the
-  // reserved kFormatStream. A shard covering trials [first_trial,
-  // first_trial + max_intervals) then depends only on (seed, trial
-  // indices), not on thread count or on how earlier shards went, which is
-  // the engine's bit-reproducibility contract.
+  // reserved kFormatStream, so the format does not depend on first_trial
+  // and one prototype serves every shard. A shard covering trials
+  // [first_trial, first_trial + max_intervals) then depends only on (seed,
+  // trial indices), not on thread count or on how earlier shards went,
+  // which is the engine's bit-reproducibility contract.
   bool per_trial_seed_streams = false;
   std::uint64_t first_trial = 0;
   // Checked before each interval; return true to abandon the run. The
@@ -85,6 +92,20 @@ struct BaselineMcResult {
   BaselineMcResult& operator+=(const BaselineMcResult& other);
 };
 
+// Formats `scheme` the way every run of `config` starts: from the reserved
+// kFormatStream in per-trial-stream mode, else from Rng(config.seed).
+// Returns that Rng; a run without per-trial streams draws its intervals
+// from where the format left it.
+Rng format_for_run(CacheScheme& scheme, const BaselineMcConfig& config);
+
+// Runs `config` on a clone of `prototype`, which format_for_run formatted
+// for a config with the same seed and stream mode and which returned `rng`.
+// The prototype is only read, so concurrent shards may share it.
+BaselineMcResult run_baseline_mc(const CacheScheme& prototype, Rng rng,
+                                 const BaselineMcConfig& config);
+
+// format_for_run(scheme, config), then the run above with `scheme` as the
+// prototype: `scheme` ends formatted, the faults land on its clone.
 BaselineMcResult run_baseline_mc(CacheScheme& scheme, const BaselineMcConfig& config);
 
 // ---- the kernel ----------------------------------------------------------
@@ -97,8 +118,9 @@ struct KernelHooks {
   // count. Ignored in scenario mode.
   std::int64_t fixed_fault_count = -1;
   // Runs between apply and scrub on i.i.d. intervals with the interval's
-  // Rng. It may mutate the scheme and the golden snapshot, must append
-  // every unit it faulted to `touched`, and returns the faults it injected.
+  // Rng. It may mutate the scheme and the golden snapshot (the run's
+  // private copy of it), must append every unit it faulted to `touched`,
+  // and returns the faults it injected.
   std::function<std::uint64_t(Rng& rng, SttramArray& golden,
                               std::vector<std::uint64_t>& touched)>
       host_writes;
@@ -127,10 +149,15 @@ struct IntervalCounts {
   std::uint64_t failure_intervals = 0;
 };
 
-// Formats the scheme, snapshots golden, then runs up to
-// config.max_intervals intervals (see the stage list at the top). Aborts
-// when a scenario's geometry does not match the scheme.
-IntervalCounts run_interval_kernel(CacheScheme& scheme, const BaselineMcConfig& config,
+// Runs up to config.max_intervals intervals (see the stage list at the
+// top) on `scheme`, whose array starts equal to `golden`: a clone of the
+// prototype whose array `golden` is. `golden` is only read and may be
+// shared by concurrent runs; a run with host writes works on a private
+// copy. `rng` is format_for_run's result (reseeded per interval in
+// per-trial-stream mode). Aborts when a scenario's geometry does not match
+// the scheme.
+IntervalCounts run_interval_kernel(CacheScheme& scheme, const SttramArray& golden,
+                                   Rng& rng, const BaselineMcConfig& config,
                                    const KernelHooks& hooks);
 
 }  // namespace sudoku::baselines

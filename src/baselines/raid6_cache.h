@@ -35,6 +35,9 @@ class Raid6Cache final : public CacheScheme {
   std::uint32_t bits_per_unit() const override { return array_.bits_per_line(); }
   SttramArray& array() override { return array_; }
   const SttramArray& array() const override { return array_; }
+  std::unique_ptr<CacheScheme> clone() const override {
+    return std::make_unique<Raid6Cache>(*this);
+  }
 
   void format_random(Rng& rng) override;
   ScrubReport scrub_units(std::span<const std::uint64_t> units) override;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -51,6 +52,12 @@ class CacheScheme {
 
   virtual SttramArray& array() = 0;
   virtual const SttramArray& array() const = 0;
+
+  // A copy in the current state: the array with its verified bits and
+  // every parity structure. The copy records into no metrics registry.
+  // The Monte-Carlo front-ends format one prototype per experiment and run
+  // every shard on a clone of it (baselines/mc_runner.h).
+  virtual std::unique_ptr<CacheScheme> clone() const = 0;
 
   // Fill every unit with random encoded content; rebuild any parity state.
   virtual void format_random(Rng& rng) = 0;

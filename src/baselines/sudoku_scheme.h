@@ -15,12 +15,22 @@ namespace sudoku::baselines {
 class SudokuScheme : public LineScheme {
  public:
   explicit SudokuScheme(const SudokuConfig& config) : ctrl_(config) {}
+  // A copy records into no registry: the original's instruments belong to
+  // whoever attached them.
+  SudokuScheme(const SudokuScheme& other)
+      : LineScheme(other), ctrl_(other.ctrl_), repairs_(other.repairs_) {
+    ctrl_.attach_metrics(nullptr);
+  }
+  SudokuScheme(SudokuScheme&&) = default;
 
   std::string name() const override { return to_string(ctrl_.config().level); }
   std::uint64_t num_units() const override { return ctrl_.array().num_lines(); }
   std::uint32_t bits_per_unit() const override { return ctrl_.array().bits_per_line(); }
   SttramArray& array() override { return ctrl_.array(); }
   const SttramArray& array() const override { return ctrl_.array(); }
+  std::unique_ptr<CacheScheme> clone() const override {
+    return std::make_unique<SudokuScheme>(*this);
+  }
 
   void format_random(Rng& rng) override { ctrl_.format_random(rng); }
   // corrected = ECC-1 corrections + RAID-4 reconstructions + SDR

@@ -17,6 +17,9 @@ class TwoDpCache final : public SudokuScheme {
       : SudokuScheme({.geo = {num_lines, group_size}, .level = SudokuLevel::kY}) {}
 
   std::string name() const override { return "2DP+ECC-1+CRC-31"; }
+  std::unique_ptr<CacheScheme> clone() const override {
+    return std::make_unique<TwoDpCache>(*this);
+  }
   // 2DP refills a lost line by rewriting its stored codeword (the
   // CacheScheme default), not through SuDoku's host write path.
   void restore_unit(std::uint64_t unit, const BitVec& golden_stored) override {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -42,24 +41,37 @@ void mul_by_linear(std::vector<std::uint32_t>& poly, std::uint32_t root, const G
   poly[0] = f.mul(poly[0], root);
 }
 
+// The roots of the generator: the union of the cyclotomic cosets
+// {i, 2i, 4i, ...} mod `order` of i = 1..2t, coset by coset.
+std::vector<std::uint32_t> generator_roots(std::uint32_t order, int t) {
+  std::vector<bool> covered(order, false);
+  std::vector<std::uint32_t> roots;
+  for (std::uint32_t i = 1; i <= static_cast<std::uint32_t>(2 * t); ++i) {
+    if (covered[i % order]) continue;
+    std::uint32_t j = i % order;
+    do {
+      covered[j] = true;
+      roots.push_back(j);
+      j = static_cast<std::uint32_t>((2ull * j) % order);
+    } while (j != i % order);
+  }
+  return roots;
+}
+
 }  // namespace
+
+std::size_t Bch::generator_degree(int m, int t) {
+  return generator_roots((std::uint32_t{1} << checked_field_order(m, t)) - 1, t).size();
+}
 
 Bch::Bch(int m, int t, std::size_t message_bits)
     : m_(checked_field_order(m, t)), t_(t), k_(message_bits), field_(m) {
-  // Generator = product of distinct minimal polynomials of alpha^1..alpha^2t.
-  // Build via cyclotomic cosets mod 2^m - 1.
+  // Generator = product of distinct minimal polynomials of alpha^1..alpha^2t,
+  // i.e. of (x + alpha^j) over the cyclotomic cosets' members j.
   const std::uint32_t order = field_.order();
-  std::set<std::uint32_t> covered;
   std::vector<std::uint32_t> g = {1};  // polynomial "1" over GF(2^m)
-  for (std::uint32_t i = 1; i <= static_cast<std::uint32_t>(2 * t); ++i) {
-    if (covered.count(i % order)) continue;
-    // Cyclotomic coset of i: {i, 2i, 4i, ...} mod order.
-    std::uint32_t j = i % order;
-    do {
-      covered.insert(j);
-      mul_by_linear(g, field_.alpha_pow(j), field_);
-      j = static_cast<std::uint32_t>((2ull * j) % order);
-    } while (j != i % order);
+  for (const std::uint32_t j : generator_roots(order, t)) {
+    mul_by_linear(g, field_.alpha_pow(j), field_);
   }
   r_ = g.size() - 1;
   n_ = k_ + r_;

@@ -39,6 +39,11 @@ class Bch {
   // message_bits + parity <= 2^m - 1.
   Bch(int m, int t, std::size_t message_bits);
 
+  // deg g of the code Bch(m, t, ·) builds: the size of the union of the
+  // cyclotomic cosets of 1..2t mod 2^m - 1, without building the field.
+  // Validates (m, t) as the constructor does.
+  static std::size_t generator_degree(int m, int t);
+
   int t() const { return t_; }
   std::size_t message_bits() const { return k_; }
   std::size_t parity_bits() const { return r_; }
@@ -162,14 +167,16 @@ class Bch {
   // directly from the field's antilog table so the batch path shares no
   // derived tables with the word-Horner kernel (independent
   // implementations for the differential tests). Heap-held so the
-  // once_flag doesn't cost Bch its move constructor.
+  // once_flag doesn't cost Bch its copy and move constructors, and shared
+  // by copies: the program is immutable once built, so the copies of one
+  // code (the Monte-Carlo shards' schemes) build it once between them.
   struct SliceProgram {
     std::once_flag once;
     std::vector<std::uint32_t> off;  // n_ + 1 offsets
     std::vector<std::uint16_t> idx;
   };
   void build_slice_program() const;
-  std::unique_ptr<SliceProgram> slice_ = std::make_unique<SliceProgram>();
+  std::shared_ptr<SliceProgram> slice_ = std::make_shared<SliceProgram>();
 
   // Run the slice program over a finalized batch: acc[j0*m + b] bit L =
   // bit b of slot L's syndrome S_{j0+1}.

@@ -26,16 +26,15 @@ EccDesign make_ecc_design(std::uint32_t data_bytes, int t) {
                                 std::to_string(data_bytes) + " B at t=" +
                                 std::to_string(t));
   }
-  // Build the code once to read the exact generator degree (deg g can be
-  // below m*t when cyclotomic cosets of alpha^1..alpha^2t overlap).
-  const Bch probe(m, t, data_bits);
+  // The exact generator degree (deg g can be below m*t when cyclotomic
+  // cosets of alpha^1..alpha^2t overlap), without building the code.
   EccDesign d;
   d.data_bytes = data_bytes;
   d.data_bits = static_cast<std::uint32_t>(data_bits);
   d.t = t;
   d.m = m;
-  d.parity_bits = static_cast<std::uint32_t>(probe.parity_bits());
-  d.codeword_bits = static_cast<std::uint32_t>(probe.codeword_bits());
+  d.parity_bits = static_cast<std::uint32_t>(Bch::generator_degree(m, t));
+  d.codeword_bits = d.data_bits + d.parity_bits;
   d.name = (data_bytes >= 1024 && data_bytes % 1024 == 0
                 ? std::to_string(data_bytes / 1024) + "KB"
                 : std::to_string(data_bytes) + "B") +

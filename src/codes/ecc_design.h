@@ -24,8 +24,8 @@ namespace sudoku {
 int min_bch_field_order(std::uint64_t data_bits, int t);
 
 // One point of the codeword-size x strength sweep. `parity_bits` is the
-// *actual* generator degree of the constructed code (usually exactly m*t
-// for these shortened designs, but taken from the code, not assumed).
+// *actual* generator degree of the code (usually exactly m*t for these
+// shortened designs, but derived from its cyclotomic cosets, not assumed).
 struct EccDesign {
   std::string name;            // e.g. "512B-t4"
   std::uint32_t data_bytes = 0;
@@ -52,8 +52,8 @@ struct EccDesign {
   std::uint32_t lines_per_codeword() const { return data_bits / 512; }
 };
 
-// Resolve (data_bytes, t) to a full design. Constructs the code once to
-// read off the exact generator degree. Throws std::invalid_argument when
+// Resolve (data_bytes, t) to a full design, with the exact generator
+// degree from Bch::generator_degree (no code is built). Throws std::invalid_argument when
 // data_bytes is not a positive multiple of 64 or no field m <= 16 fits.
 EccDesign make_ecc_design(std::uint32_t data_bytes, int t);
 

@@ -188,14 +188,20 @@ reliability::McResult run_montecarlo_parallel(const reliability::McConfig& confi
       "montecarlo", &encode_mc_result, &decode_mc_result);
   std::optional<ShardWorkQueue> queue;
   attach_fleet(options, ropt, queue);
+  reliability::McConfig stream_config = config;
+  stream_config.per_trial_seed_streams = true;
   return timed_run<reliability::McResult>(
       options, config.max_intervals, stats, [&](ThreadPool& pool, const auto& shards) {
+        // One formatted image for the whole experiment, freed with it: every
+        // shard runs on a copy and reads the prototype's array as golden.
+        const reliability::McPrototype prototype =
+            reliability::format_prototype(stream_config);
         return run_sharded<reliability::McResult>(
             pool, shards, ropt,
             [&](const Shard& shard, const EarlyStop& early) {
               return run_shard(config, shard, early,
-                               [](const reliability::McConfig& c) {
-                                 return reliability::run_montecarlo(c);
+                               [&prototype](const reliability::McConfig& c) {
+                                 return reliability::run_montecarlo(c, prototype);
                                });
             });
       });
@@ -211,15 +217,19 @@ baselines::BaselineMcResult run_baseline_mc_parallel(
       "baseline_mc", &encode_baseline_mc_result, &decode_baseline_mc_result);
   std::optional<ShardWorkQueue> queue;
   attach_fleet(options, ropt, queue);
+  baselines::BaselineMcConfig stream_config = config;
+  stream_config.per_trial_seed_streams = true;
   return timed_run<baselines::BaselineMcResult>(
       options, config.max_intervals, stats, [&](ThreadPool& pool, const auto& shards) {
+        // One formatted image for the whole experiment, as above.
+        const std::unique_ptr<baselines::CacheScheme> prototype = factory();
+        const Rng rng = baselines::format_for_run(*prototype, stream_config);
         return run_sharded<baselines::BaselineMcResult>(
             pool, shards, ropt,
             [&](const Shard& shard, const EarlyStop& early) {
               return run_shard(config, shard, early,
-                               [&factory](const baselines::BaselineMcConfig& c) {
-                                 auto scheme = factory();
-                                 return baselines::run_baseline_mc(*scheme, c);
+                               [&](const baselines::BaselineMcConfig& c) {
+                                 return baselines::run_baseline_mc(*prototype, rng, c);
                                });
             });
       });

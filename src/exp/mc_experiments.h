@@ -64,8 +64,8 @@ reliability::McResult run_montecarlo_parallel(const reliability::McConfig& confi
                                               const ExpOptions& options = {},
                                               RunStats* stats = nullptr);
 
-// Parallel baselines::run_baseline_mc. Each shard drives its own scheme
-// instance, so the caller provides a factory instead of a live scheme.
+// Parallel baselines::run_baseline_mc. The factory is called once, for the
+// experiment's prototype; each shard drives its own clone of it.
 using SchemeFactory = std::function<std::unique_ptr<baselines::CacheScheme>()>;
 baselines::BaselineMcResult run_baseline_mc_parallel(
     const SchemeFactory& factory, const baselines::BaselineMcConfig& config,

@@ -25,9 +25,9 @@ struct Shard {
 std::vector<Shard> make_shards(std::uint64_t total, std::uint64_t chunk);
 
 // Default chunk size: a pure function of `total` (so plans are stable
-// across hosts), sized to amortise per-shard setup — each shard rebuilds
-// and formats its own controller, which costs on the order of tens of
-// trials — while still yielding ~16 shards for load balancing.
+// across hosts), sized to amortise per-shard setup — each shard copies
+// the experiment's formatted prototype and registers its instruments —
+// while still yielding ~16 shards for load balancing.
 std::uint64_t default_chunk(std::uint64_t total);
 
 // Early-stop accounting across shards. Shards report their failure counts

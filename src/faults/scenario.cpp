@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <unordered_set>
 #include <utility>
 
@@ -69,32 +70,44 @@ void assert_cells(SttramArray& array, std::span<const StuckCell> cells) {
     if (array.test(s.unit, s.bit) != s.value) array.flip(s.unit, s.bit);
 }
 
-ActiveStuck::ActiveStuck(const std::vector<StuckCell>& cells)
-    : cells_(cells.rbegin(), cells.rend()) {
-  // Last writer wins per (unit, bit): on the reversed input a stable sort
-  // puts each key's last writer first, and unique keeps the first.
+ActiveStuck::ActiveStuck(const std::vector<StuckCell>& cells) : input_(cells) { settle(); }
+
+void ActiveStuck::settle() {
+  // Last writer wins per (unit, bit): sort the input indices by key, the
+  // later index first within a key, and keep each key's first. An index
+  // sort, not a stable sort of the cells, so nothing is allocated.
   const auto key = [](const StuckCell& c) { return std::pair(c.unit, c.bit); };
-  std::stable_sort(cells_.begin(), cells_.end(), [&](auto& a, auto& b) { return key(a) < key(b); });
-  cells_.erase(std::unique(cells_.begin(), cells_.end(),
-                           [&](auto& a, auto& b) { return key(a) == key(b); }),
-               cells_.end());
-  for (const StuckCell& c : cells_)
+  order_.resize(input_.size());
+  std::iota(order_.begin(), order_.end(), 0u);
+  std::sort(order_.begin(), order_.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const auto ka = key(input_[a]);
+    const auto kb = key(input_[b]);
+    return ka != kb ? ka < kb : a > b;
+  });
+  cells_.clear();
+  units_.clear();
+  for (const std::uint32_t i : order_) {
+    const StuckCell& c = input_[i];
+    if (!cells_.empty() && key(cells_.back()) == key(c)) continue;
+    cells_.push_back(c);
     if (units_.empty() || units_.back() != c.unit) units_.push_back(c.unit);
+  }
 }
 
 bool ActiveStuck::equal_outside_stuck(std::uint64_t unit, const BitVec& stored,
                                       const BitVec& golden) const {
-  BitVec diff = stored;
-  diff ^= golden;
-  if (diff.none()) return true;
-  const StuckCell probe{unit, 0, false};
-  auto it = std::lower_bound(cells_.begin(), cells_.end(), probe,
-                             [](const StuckCell& a, const StuckCell& b) {
-                               return a.unit < b.unit;
-                             });
-  for (; it != cells_.end() && it->unit == unit; ++it)
-    if (diff.test(it->bit)) diff.flip(it->bit);
-  return diff.none();
+  // Word by word, with this unit's stuck bits (sorted by bit) masked out.
+  auto it = std::lower_bound(cells_.begin(), cells_.end(), unit,
+                             [](const StuckCell& a, std::uint64_t u) { return a.unit < u; });
+  const auto s = stored.words();
+  const auto g = golden.words();
+  for (std::size_t w = 0; w < s.size(); ++w) {
+    std::uint64_t diff = s[w] ^ g[w];
+    for (; it != cells_.end() && it->unit == unit && it->bit / 64 == w; ++it)
+      diff &= ~(std::uint64_t{1} << (it->bit % 64));
+    if (diff != 0) return false;
+  }
+  return true;
 }
 
 // ----------------------------------------------------------------- spec JSON
@@ -547,8 +560,9 @@ FaultBatch FaultScenario::transient(std::uint64_t t, ScenarioTick* tick) const {
   return batch;
 }
 
-ActiveStuck FaultScenario::stuck(std::uint64_t t) const {
-  std::vector<StuckCell> cells;
+void FaultScenario::stuck(std::uint64_t t, ActiveStuck& out) const {
+  std::vector<StuckCell>& cells = out.input_;
+  cells.clear();
   for (const Source& src : sources_) {
     const SourceSpec& s = src.spec;
     switch (s.kind) {
@@ -570,7 +584,7 @@ ActiveStuck FaultScenario::stuck(std::uint64_t t) const {
         break;
     }
   }
-  return ActiveStuck(cells);
+  out.settle();
 }
 
 }  // namespace sudoku::faults

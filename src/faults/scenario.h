@@ -93,6 +93,13 @@ class ActiveStuck {
                            const BitVec& golden) const;
 
  private:
+  friend class FaultScenario;  // fills input_ and calls settle()
+
+  // Rebuilds cells_ and units_ from input_, reusing every buffer.
+  void settle();
+
+  std::vector<StuckCell> input_;        // as given, duplicates included
+  std::vector<std::uint32_t> order_;    // settle()'s scratch
   std::vector<StuckCell> cells_;        // sorted by (unit, bit)
   std::vector<std::uint64_t> units_;    // sorted, unique
 };
@@ -189,7 +196,15 @@ class FaultScenario {
   // Cells stuck during interval t: all stuck_at cells, intermittent cells
   // in the active phase of their duty cycle, and weibull cells whose
   // lifetime has expired. Cross-source conflicts resolve last-wins.
-  ActiveStuck stuck(std::uint64_t t) const;
+  // Replaces `out`, reusing its storage: a caller that keeps one
+  // ActiveStuck across intervals allocates nothing once it has held the
+  // largest set.
+  void stuck(std::uint64_t t, ActiveStuck& out) const;
+  ActiveStuck stuck(std::uint64_t t) const {
+    ActiveStuck out;
+    stuck(t, out);
+    return out;
+  }
 
   // True if any source can ever pin cells (lets harnesses skip the stuck
   // bookkeeping for purely transient scenarios).

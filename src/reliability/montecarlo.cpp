@@ -43,15 +43,9 @@ std::string McResult::summary() const {
   return os.str();
 }
 
-McResult run_montecarlo(const McConfig& config) {
-  SudokuConfig ctrl_cfg;
-  ctrl_cfg.geo.num_lines = config.cache.num_lines;
-  ctrl_cfg.geo.group_size = config.cache.group_size;
-  ctrl_cfg.level = config.level;
-  ctrl_cfg.inner_ecc_t = config.cache.inner_ecc_t;
-  baselines::SudokuScheme scheme(ctrl_cfg);
-  SudokuController& ctrl = scheme.controller();
+namespace {
 
+baselines::BaselineMcConfig kernel_config(const McConfig& config) {
   baselines::BaselineMcConfig kernel;
   kernel.ber = config.cache.ber;
   kernel.max_intervals = config.max_intervals;
@@ -61,6 +55,31 @@ McResult run_montecarlo(const McConfig& config) {
   kernel.first_trial = config.first_trial;
   kernel.stop_hook = config.stop_hook;
   kernel.scenario = config.scenario;
+  return kernel;
+}
+
+}  // namespace
+
+McPrototype format_prototype(const McConfig& config) {
+  SudokuConfig ctrl_cfg;
+  ctrl_cfg.geo.num_lines = config.cache.num_lines;
+  ctrl_cfg.geo.group_size = config.cache.group_size;
+  ctrl_cfg.level = config.level;
+  ctrl_cfg.inner_ecc_t = config.cache.inner_ecc_t;
+  McPrototype prototype{baselines::SudokuScheme(ctrl_cfg), Rng()};
+  prototype.rng = baselines::format_for_run(prototype.scheme, kernel_config(config));
+  return prototype;
+}
+
+McResult run_montecarlo(const McConfig& config) {
+  return run_montecarlo(config, format_prototype(config));
+}
+
+McResult run_montecarlo(const McConfig& config, const McPrototype& prototype) {
+  baselines::SudokuScheme scheme(prototype.scheme);
+  SudokuController& ctrl = scheme.controller();
+  Rng rng = prototype.rng;
+  const baselines::BaselineMcConfig kernel = kernel_config(config);
 
   McResult result;
   baselines::KernelHooks hooks;
@@ -107,7 +126,8 @@ McResult run_montecarlo(const McConfig& config) {
     };
   }
 
-  const baselines::IntervalCounts c = baselines::run_interval_kernel(scheme, kernel, hooks);
+  const baselines::IntervalCounts c =
+      baselines::run_interval_kernel(scheme, prototype.scheme.array(), rng, kernel, hooks);
   const ScrubStats& repairs = scheme.repairs();
   result.intervals = c.intervals;
   result.faults_injected = c.faults_injected;

@@ -23,6 +23,8 @@
 #include <functional>
 #include <string>
 
+#include "baselines/sudoku_scheme.h"
+#include "common/rng.h"
 #include "faults/scenario.h"
 #include "obs/metrics.h"
 #include "reliability/analytical.h"
@@ -98,6 +100,21 @@ struct McResult {
   McResult& operator+=(const McResult& other);
 };
 
+// The formatted SuDoku scheme every run of `config` starts from, and the
+// Rng its format left (see baselines::format_for_run). The experiment
+// engine formats one per experiment and runs every shard on a copy.
+struct McPrototype {
+  baselines::SudokuScheme scheme;
+  Rng rng;
+};
+McPrototype format_prototype(const McConfig& config);
+
+// Runs `config` on a copy of `prototype`, which format_prototype made for a
+// config with the same cache, level, seed and stream mode. The prototype is
+// only read, so concurrent shards may share it.
+McResult run_montecarlo(const McConfig& config, const McPrototype& prototype);
+
+// run_montecarlo(config, format_prototype(config)).
 McResult run_montecarlo(const McConfig& config);
 
 }  // namespace sudoku::reliability

@@ -87,6 +87,20 @@ class SttramArray {
     for (std::uint32_t i = 0; i < words_per_line_; ++i) w[i] ^= load_word(base + i);
   }
 
+  // acc ^= lines line_of(0) .. line_of(count - 1) (a RAID-Group's parity).
+  // The widths SuDoku's codec produces (9 words at inner t <= 3, 10 at
+  // t = 4..6) sum in local words and touch `acc` once; others go line by
+  // line.
+  template <typename LineOf>
+  void xor_lines_into(std::uint32_t count, LineOf line_of, BitVec& acc) const {
+    switch (words_per_line_) {
+      case 9: return xor_lines_fixed<9>(count, line_of, acc);
+      case 10: return xor_lines_fixed<10>(count, line_of, acc);
+      default:
+        for (std::uint32_t s = 0; s < count; ++s) xor_line_into(line_of(s), acc);
+    }
+  }
+
   bool line_equals(std::uint64_t line, const BitVec& v) const {
     auto w = v.words();
     const std::uint64_t base = line * words_per_line_;
@@ -103,6 +117,19 @@ class SttramArray {
   std::uint32_t words_per_line_;
   std::vector<std::uint64_t> words_;
   std::vector<std::uint64_t> verified_;  // one bit per line
+
+  template <std::uint32_t W, typename LineOf>
+  void xor_lines_fixed(std::uint32_t count, LineOf line_of, BitVec& acc) const {
+    std::uint64_t sum[W] = {};
+    for (std::uint32_t s = 0; s < count; ++s) {
+      const std::uint64_t base = line_of(s) * W;
+      // Unrolled, so that sum[] lives in registers.
+#pragma GCC unroll 16
+      for (std::uint32_t i = 0; i < W; ++i) sum[i] ^= load_word(base + i);
+    }
+    auto w = acc.words();
+    for (std::uint32_t i = 0; i < W; ++i) w[i] ^= sum[i];
+  }
 
   void clear_verified(std::uint64_t line) {
     verified_[line >> 6] &= ~(std::uint64_t{1} << (line & 63));

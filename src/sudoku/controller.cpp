@@ -39,9 +39,10 @@ ScrubStats& ScrubStats::operator+=(const ScrubStats& o) {
 SudokuController::SudokuController(const SudokuConfig& config)
     : config_(config),
       codec_(config.inner_ecc_t),
-      array_(config.geo.num_lines, LineCodec::kDataBits + LineCodec::kCrcBits + 10),
+      array_(config.geo.num_lines, codec_.total_bits()),
       hash_(config.geo),
-      plt1_(config.geo.num_groups(), 0) {
+      plt1_(config.geo.num_groups(), codec_.total_bits()),
+      parity_(codec_.total_bits()) {
   // Geometry violations are programming errors but must fail loudly even
   // in release builds — an invalid skewed hash silently corrupts memory.
   if (!config_.geo.valid()) {
@@ -60,14 +61,8 @@ SudokuController::SudokuController(const SudokuConfig& config)
                  config_.geo.group_size);
     std::abort();
   }
-  // Re-create structures with the codec's real total width (the 10 above is
-  // a placeholder; the inner-code width depends on its strength).
-  const std::uint32_t width = codec_.total_bits();
-  array_ = SttramArray(config_.geo.num_lines, width);
-  plt1_ = ParityTable(config_.geo.num_groups(), width);
-  parity_ = BitVec(width);
   if (config_.level == SudokuLevel::kZ) {
-    plt2_.emplace(config_.geo.num_groups(), width);
+    plt2_.emplace(config_.geo.num_groups(), codec_.total_bits());
   }
 }
 
@@ -130,9 +125,8 @@ void SudokuController::format_random(Rng& rng) {
 
 void SudokuController::xor_group_into(std::uint64_t group, int which_hash,
                                       BitVec& acc) const {
-  for (std::uint32_t s = 0; s < config_.geo.group_size; ++s) {
-    array_.xor_line_into(member(group, which_hash, s), acc);
-  }
+  array_.xor_lines_into(config_.geo.group_size,
+                        [&](std::uint32_t s) { return member(group, which_hash, s); }, acc);
 }
 
 void SudokuController::rebuild_parity(int which_hash, std::uint64_t group) {

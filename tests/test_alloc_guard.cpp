@@ -1,5 +1,7 @@
 // Allocation guard for the Monte-Carlo interval kernel: a steady-state
-// i.i.d. interval must allocate O(1) times, not O(faults). The executable
+// i.i.d. interval must allocate O(1) times, not O(faults), and a scenario
+// interval (transient flips plus stuck cells) must stay under a fixed
+// bound. The executable
 // replaces the global operator new/delete with versions that count calls
 // and forward to malloc/free, so it also runs under AddressSanitizer.
 //
@@ -19,6 +21,7 @@
 
 #include "baselines/ecck_cache.h"
 #include "baselines/mc_runner.h"
+#include "faults/scenario.h"
 #include "reliability/montecarlo.h"
 
 namespace {
@@ -170,6 +173,63 @@ TEST(AllocGuard, SudokuZIntervalsAllocateIndependentlyOfFaults) {
 
 TEST(AllocGuard, Ecc4IntervalsAllocateIndependentlyOfFaults) {
   expect_flat("ECC-4", ecc4_run);
+}
+
+// The scenario branch, under the `mixed` preset (stuck and intermittent
+// cells, row clusters and an i.i.d. floor) at 4x its rates and cell counts.
+// Its fault count does not scale with one knob, so the bound is the
+// absolute one: the interval's stuck set is refilled in place and the
+// classify step compares around stuck cells without a copy. A kernel that
+// builds a fresh stuck set every interval, and copies a unit to compare it,
+// makes 51 allocations per interval here for SuDoku-Z and 48 for ECC-4.
+faults::ScenarioSpec accelerated_mixed() {
+  faults::ScenarioSpec spec = faults::ScenarioSpec::builtin("mixed");
+  for (auto& s : spec.sources) {
+    s.ber *= 4;
+    s.events_per_interval *= 4;
+    s.cells *= 4;
+  }
+  return spec;
+}
+
+void expect_scenario_bounded(const char* name,
+                             const std::function<std::uint64_t(std::uint64_t)>& run) {
+  const Rates r = steady_state(run);
+  std::printf("%-9s mixed: %6.2f faults, %6.2f allocs per interval\n", name,
+              r.faults_per_interval, r.allocs_per_interval);
+  ASSERT_GT(r.faults_per_interval, 4.0) << name;
+  EXPECT_LE(r.allocs_per_interval, kMaxAllocsPerInterval) << name;
+}
+
+TEST(AllocGuard, SudokuZScenarioIntervalsStayUnderTheBound) {
+  const auto scenario = std::make_shared<faults::FaultScenario>(
+      accelerated_mixed(), faults::Geometry{kLines, reliability::kSudokuLineBits}, 11);
+  expect_scenario_bounded("SuDoku-Z", [scenario](std::uint64_t intervals) {
+    reliability::McConfig c;
+    c.cache.num_lines = kLines;
+    c.cache.group_size = kGroup;
+    c.level = SudokuLevel::kZ;
+    c.seed = 11;
+    c.max_intervals = intervals;
+    c.per_trial_seed_streams = true;
+    c.scenario = scenario.get();
+    return reliability::run_montecarlo(c).faults_injected;
+  });
+}
+
+TEST(AllocGuard, Ecc4ScenarioIntervalsStayUnderTheBound) {
+  const baselines::EccKCache probe(kLines, 4);
+  const auto scenario = std::make_shared<faults::FaultScenario>(
+      accelerated_mixed(), faults::Geometry{probe.num_units(), probe.bits_per_unit()}, 11);
+  expect_scenario_bounded("ECC-4", [scenario](std::uint64_t intervals) {
+    baselines::EccKCache scheme(kLines, 4);
+    baselines::BaselineMcConfig c;
+    c.seed = 11;
+    c.max_intervals = intervals;
+    c.per_trial_seed_streams = true;
+    c.scenario = scenario.get();
+    return baselines::run_baseline_mc(scheme, c).faults_injected;
+  });
 }
 
 }  // namespace

@@ -377,17 +377,47 @@ TEST(ExpEngine, TransientThrowRecoversViaRetryWithoutDegrading) {
   EXPECT_EQ(report.errors.size(), 2u);
 }
 
+// A CPPC cache whose clone() first runs a hook. The baseline adapter calls
+// the factory once, for the experiment's prototype, and every shard body
+// begins by cloning it, so the hook runs once per shard body, on the thread
+// that runs it.
+class CloneHookScheme final : public baselines::CacheScheme {
+ public:
+  explicit CloneHookScheme(std::function<void()> on_clone) : on_clone_(std::move(on_clone)) {}
+
+  std::string name() const override { return inner_.name(); }
+  std::uint64_t num_units() const override { return inner_.num_units(); }
+  std::uint32_t bits_per_unit() const override { return inner_.bits_per_unit(); }
+  SttramArray& array() override { return inner_.array(); }
+  const SttramArray& array() const override { return inner_.array(); }
+  std::unique_ptr<CacheScheme> clone() const override {
+    on_clone_();
+    return std::make_unique<CloneHookScheme>(*this);
+  }
+  void format_random(Rng& rng) override { inner_.format_random(rng); }
+  baselines::ScrubReport scrub_units(std::span<const std::uint64_t> units) override {
+    return inner_.scrub_units(units);
+  }
+  double overhead_bits_per_line() const override { return inner_.overhead_bits_per_line(); }
+
+ private:
+  std::function<void()> on_clone_;
+  baselines::CppcCache inner_{1ull << 10};
+};
+
 TEST(ExpEngine, AdapterQuarantinesAThrowingShardWithDefaultOptions) {
-  // A scheme factory that throws on every call throws inside every shard
-  // body; the adapter quarantines each shard instead of propagating.
+  // A prototype whose clone() throws on every call throws inside every
+  // shard body; the adapter quarantines each shard instead of propagating.
   baselines::BaselineMcConfig cfg;
   cfg.ber = 2e-4;
   cfg.max_intervals = 64;
   cfg.seed = 5;
   std::atomic<int> calls{0};
-  const SchemeFactory factory = [&]() -> std::unique_ptr<baselines::CacheScheme> {
-    calls.fetch_add(1);
-    throw std::runtime_error("scheme construction failed");
+  const SchemeFactory factory = [&] {
+    return std::make_unique<CloneHookScheme>([&] {
+      calls.fetch_add(1);
+      throw std::runtime_error("scheme copy failed");
+    });
   };
   ShardRunReport report;
   const auto r = run_baseline_mc_parallel(
@@ -398,6 +428,24 @@ TEST(ExpEngine, AdapterQuarantinesAThrowingShardWithDefaultOptions) {
   EXPECT_EQ(report.trials_quarantined, 64u);
   EXPECT_EQ(calls.load(), static_cast<int>(4 * kShardAttempts));
   EXPECT_TRUE(report.degraded());
+}
+
+TEST(ExpEngine, ThrowingFactoryPropagatesBeforeAnyShard) {
+  // The factory builds the experiment's prototype once, before the shards
+  // run; a failure there is a configuration error, not a shard to retry.
+  baselines::BaselineMcConfig cfg;
+  cfg.max_intervals = 64;
+  std::atomic<int> calls{0};
+  const SchemeFactory factory = [&]() -> std::unique_ptr<baselines::CacheScheme> {
+    calls.fetch_add(1);
+    throw std::runtime_error("scheme construction failed");
+  };
+  ShardRunReport report;
+  EXPECT_THROW(run_baseline_mc_parallel(factory, cfg,
+                                        {.threads = 2, .chunk = 16, .report = &report}),
+               std::runtime_error);
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(report.shards_total, 0u);
 }
 
 // Per-thread counts of shard bodies begun and after_shard calls seen. The
@@ -411,16 +459,15 @@ TEST(ExpEngine, AfterShardFiresOnTheThreadThatRanTheShard) {
   cfg.max_intervals = 96;
   cfg.seed = 5;
   const SchemeFactory factory = [] {
-    ++shards_begun_here;
-    return std::make_unique<baselines::CppcCache>(1ull << 10);
+    return std::make_unique<CloneHookScheme>([] { ++shards_begun_here; });
   };
   std::atomic<int> reports{0}, mismatches{0}, on_caller{0};
   const auto caller = std::this_thread::get_id();
   ExpOptions opt{.threads = 4, .chunk = 8};
   opt.after_shard = [&](const Shard&) {
     reports.fetch_add(1);
-    // On the shard's own thread this call pairs with the factory call the
-    // shard just made there.
+    // On the shard's own thread this call pairs with the clone the shard
+    // just made there.
     if (++shards_reported_here != shards_begun_here) mismatches.fetch_add(1);
     if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
   };

@@ -70,6 +70,42 @@ TEST(EccDesign, FrontierAxesSpanTheSweep) {
   }
 }
 
+TEST(EccDesign, ParityBitsMatchTheBuiltCode) {
+  // make_ecc_design derives the generator degree without building a code;
+  // it must equal the degree of the code the schemes then build, at ECC-k
+  // (64 B, k = 1..6), Hi-ECC (1 KB, t = 6) and every frontier point.
+  const auto expect_matches = [](std::uint32_t bytes, int t) {
+    SCOPED_TRACE(std::to_string(bytes) + " B, t = " + std::to_string(t));
+    const EccDesign d = make_ecc_design(bytes, t);
+    const Bch bch = make_bch(d);
+    EXPECT_EQ(d.parity_bits, bch.parity_bits());
+    EXPECT_EQ(d.codeword_bits, bch.codeword_bits());
+    return d.parity_bits;
+  };
+  for (int k = 1; k <= 6; ++k) {
+    EXPECT_EQ(expect_matches(64, k), static_cast<std::uint32_t>(10 * k));
+  }
+  EXPECT_EQ(expect_matches(1024, 6), 84u);
+  for (const auto bytes : frontier_codeword_bytes()) {
+    for (const int t : frontier_strengths()) expect_matches(bytes, t);
+  }
+}
+
+TEST(EccDesign, GeneratorDegreeCountsOverlappingCosets) {
+  // Small fields, where the cosets of alpha^1..alpha^2t overlap or are
+  // shorter than m (e.g. GF(2^6), t = 5: the coset of 9 has 3 members).
+  EXPECT_EQ(Bch::generator_degree(6, 5), 27u);
+  for (int m = 3; m <= 10; ++m) {
+    for (int t = 1; t <= 6; ++t) {
+      const std::size_t r = Bch::generator_degree(m, t);
+      if (r + 1 > (std::size_t{1} << m) - 1) continue;  // no room for a message bit
+      EXPECT_EQ(r, Bch(m, t, 1).parity_bits()) << "m = " << m << ", t = " << t;
+    }
+  }
+  EXPECT_THROW(Bch::generator_degree(2, 1), std::invalid_argument);
+  EXPECT_THROW(Bch::generator_degree(10, 0), std::invalid_argument);
+}
+
 TEST(EccDesign, CodecRoundTripsAndCorrectsTErrors) {
   for (const auto bytes : {64u, 512u}) {
     const EccDesign d = make_ecc_design(bytes, 4);
