@@ -62,8 +62,9 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const SttramArray& share
   if (hooks.host_writes) own_golden.emplace(shared_golden);
   const SttramArray& golden = own_golden ? *own_golden : shared_golden;
   SttramArray& array = scheme.array();
-  // Scratch for golden units: the compares below run per touched unit per
-  // interval and must not allocate.
+  // Scratch for golden units. Units are compared with the golden image in
+  // place; a unit is copied out only to be written back or compared
+  // outside its stuck cells, and that must not allocate either.
   const std::uint32_t bits_per_unit = scheme.bits_per_unit();
   BitVec want(bits_per_unit);
   BitVec got(bits_per_unit);
@@ -159,8 +160,8 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const SttramArray& share
     };
     for (const auto unit : touched) {
       if (is_due(unit)) continue;  // already accounted as DUE
+      if (array.line_equals(unit, golden)) continue;
       golden.read_line(unit, want);
-      if (array.line_equals(unit, want)) continue;
       if (scenario) {
         array.read_line(unit, got);
         if (stuck.equal_outside_stuck(unit, got, want)) continue;
@@ -179,8 +180,9 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const SttramArray& share
       // models the refill of DUE units. Parity needs no rebuild: no
       // interval writes it, so it still matches the golden units.
       for (const auto unit : touched) {
+        if (array.line_equals(unit, golden)) continue;
         golden.read_line(unit, want);
-        if (!array.line_equals(unit, want)) array.write_line(unit, want);
+        array.write_line(unit, want);
       }
     } else {
       // Refill DUE units from golden, as from the next memory level.

@@ -156,6 +156,12 @@ void Crc31::build_slices() {
   // 128-bit state over one 128-bit chunk, e = 128 the low-degree lane.
   clmul_fold_[0] = bitrev64(gf2::pow_x_mod(191, poly_));
   clmul_fold_[1] = bitrev64(gf2::pow_x_mod(127, poly_));
+  // Barrett finish (compute_clmul): x^94 mod g folds the state's high word
+  // down to degree <= 94, floor(x^94 / g) (degree 63) estimates the
+  // quotient of that, and g itself turns the quotient into the remainder.
+  clmul_barrett_[0] = bitrev64(gf2::pow_x_mod(94, poly_));
+  clmul_barrett_[1] = bitrev64(gf2::pow_x_div(94, poly_));
+  clmul_barrett_[2] = bitrev64(poly_);
 }
 
 std::uint32_t Crc31::compute(const BitVec& bits, std::size_t nbits) const {

@@ -17,8 +17,8 @@
 //   compute()           dispatches to the fastest available kernel (see
 //                       below);
 //   compute_clmul()     PCLMUL carry-less-multiply folding over 128-bit
-//                       chunks, reduced through the slicing word step —
-//                       only on x86-64 CPUs with the pclmulqdq extension;
+//                       chunks with a carry-less Barrett finish — only on
+//                       x86-64 CPUs with the pclmulqdq extension;
 //   compute_slicing8()  slicing-by-8: one 64-bit message word per step,
 //                       12 table lookups, no per-bit access;
 //   compute_bytewise()  classic byte-at-a-time table CRC (assembles bytes
@@ -116,10 +116,12 @@ class Crc31 {
   // byte lanes: A^8(reg) = fold_[0][reg&FF] ^ ... ^ fold_[3][reg>>24].
   std::uint32_t fold_[4][256];
 
-  // CLMUL folding constants: bitrev64(x^191 mod g) and bitrev64(x^127
-  // mod g). The bit reversal moves them into the reflected domain BitVec
+  // CLMUL constants, each bit-reversed into the reflected domain BitVec
   // words live in (first-transmitted bit at the LSB); see compute_clmul.
+  // Folding: bitrev64(x^191 mod g), bitrev64(x^127 mod g). Barrett finish:
+  // bitrev64(x^94 mod g), bitrev64(floor(x^94 / g)), bitrev64(g).
   std::uint64_t clmul_fold_[2];
+  std::uint64_t clmul_barrett_[3];
 
   void build_table();
   void build_slices();
@@ -130,8 +132,7 @@ class Crc31 {
   }
 
   // One slicing-by-8 step: fold message word `w` (64 bits, BitVec order)
-  // into the register. Shared by compute_slicing8 and the CLMUL kernel's
-  // final reduction.
+  // into the register.
   std::uint32_t word_step(std::uint32_t reg, std::uint64_t w) const {
     return fold_[0][reg & 0xFFu] ^ fold_[1][(reg >> 8) & 0xFFu] ^
            fold_[2][(reg >> 16) & 0xFFu] ^ fold_[3][(reg >> 24) & 0xFFu] ^

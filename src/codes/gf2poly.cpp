@@ -56,6 +56,23 @@ std::uint64_t pow_x_mod(std::uint64_t e, std::uint64_t m) {
   return result;
 }
 
+std::uint64_t pow_x_div(std::uint64_t e, std::uint64_t m) {
+  const int dm = degree(m);
+  assert(dm >= 0 && e >= static_cast<std::uint64_t>(dm) &&
+         e - static_cast<std::uint64_t>(dm) <= 63);
+  // The partial remainder starts as x^dm (the dividend's leading dm + 1
+  // bits); each step brings down one zero bit and yields one quotient bit.
+  std::uint64_t rem = std::uint64_t{1} << dm;
+  std::uint64_t q = 0;
+  for (std::uint64_t d = static_cast<std::uint64_t>(dm); d <= e; ++d) {
+    const bool bit = (rem >> dm) & 1u;
+    q = (q << 1) | (bit ? 1u : 0u);
+    if (bit) rem ^= m;
+    rem <<= 1;
+  }
+  return q;
+}
+
 bool is_irreducible(std::uint64_t p, int d) {
   if (degree(p) != d || d < 1) return false;
   // p irreducible iff x^(2^d) == x (mod p) and gcd-style check

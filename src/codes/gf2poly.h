@@ -25,6 +25,10 @@ std::uint64_t mulmod(std::uint64_t a, std::uint64_t b, std::uint64_t m);
 // x^e mod m by square-and-multiply.
 std::uint64_t pow_x_mod(std::uint64_t e, std::uint64_t m);
 
+// floor(x^e / m), by long division; the quotient must fit in 64 bits
+// (deg m <= e <= deg m + 63).
+std::uint64_t pow_x_div(std::uint64_t e, std::uint64_t m);
+
 // True if p (degree d) is irreducible over GF(2).
 bool is_irreducible(std::uint64_t p, int d);
 

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace sudoku {
 
@@ -14,6 +18,10 @@ Hamming::Hamming(std::size_t message_bits) : k_(message_bits) {
   // Smallest r with 2^r >= k + r + 1.
   std::size_t r = 1;
   while ((std::size_t{1} << r) < k_ + r + 1) ++r;
+  if (r > kMaskLanes) {
+    throw std::invalid_argument("Hamming: " + std::to_string(message_bits) +
+                                " message bits need more than 16 check bits");
+  }
   r_ = r;
   n_ = k_ + r_;
 
@@ -42,15 +50,16 @@ Hamming::Hamming(std::size_t message_bits) : k_(message_bits) {
   // carries bit j. One AND + popcount per (check bit, word) replaces a
   // table lookup per set bit (~n/2 of them on random data).
   words_per_cw_ = (n_ + 63) / 64;
-  check_masks_.assign(r_ * words_per_cw_, 0);
+  masks_.assign(words_per_cw_ * kMaskLanes, 0);
   for (std::size_t idx = 0; idx < n_; ++idx) {
     const std::uint32_t pos = index_to_pos_[idx];
     for (std::size_t j = 0; j < r_; ++j) {
       if ((pos >> j) & 1u) {
-        check_masks_[j * words_per_cw_ + (idx >> 6)] |= std::uint64_t{1} << (idx & 63);
+        masks_[(idx >> 6) * kMaskLanes + j] |= std::uint64_t{1} << (idx & 63);
       }
     }
   }
+  avx512_ = avx512_supported();
 
   // Bit-slice program for the batch kernels: position i feeds the
   // syndrome bits set in its Hamming position (independent of the parity
@@ -83,8 +92,7 @@ void Hamming::accumulate_planes(const BitPlanes& planes, std::uint64_t* acc) con
 }
 
 void Hamming::batch_syndromes(const BitPlanes& planes, std::uint32_t* out) const {
-  std::uint64_t acc[16];  // r_ <= 16 for any codeword a BitPlanes can hold
-  assert(r_ <= 16);
+  std::uint64_t acc[kMaskLanes];  // r_ <= kMaskLanes, checked at construction
   accumulate_planes(planes, acc);
   for (std::size_t line = 0; line < planes.count(); ++line) {
     std::uint32_t v = 0;
@@ -96,8 +104,7 @@ void Hamming::batch_syndromes(const BitPlanes& planes, std::uint32_t* out) const
 }
 
 std::uint64_t Hamming::batch_syndromes_zero(const BitPlanes& planes) const {
-  std::uint64_t acc[16];
-  assert(r_ <= 16);
+  std::uint64_t acc[kMaskLanes];
   accumulate_planes(planes, acc);
   std::uint64_t dirty = 0;
   for (std::size_t j = 0; j < r_; ++j) dirty |= acc[j];
@@ -116,20 +123,36 @@ void Hamming::encode(BitVec& codeword) const {
   }
 }
 
-std::uint32_t Hamming::syndrome(const BitVec& codeword) const {
+std::uint32_t Hamming::syndrome_portable(const BitVec& codeword) const {
   assert(codeword.size() == n_);
   const auto words = codeword.words();
-  const std::uint64_t* mask = check_masks_.data();
+  const std::uint64_t* mask = masks_.data();
+  // parity(popcount(a) + popcount(b)) == parity(popcount(a ^ b)), so the
+  // per-word ANDs are XOR-reduced before a single popcount per check bit.
+  std::uint64_t acc[kMaskLanes] = {};
+  for (std::size_t wi = 0; wi < words_per_cw_; ++wi, mask += kMaskLanes) {
+    const std::uint64_t w = words[wi];
+    // Unrolled, so that acc[] lives in registers.
+#pragma GCC unroll 16
+    for (std::size_t j = 0; j < kMaskLanes; ++j) acc[j] ^= w & mask[j];
+  }
   std::uint32_t syn = 0;
-  for (std::size_t j = 0; j < r_; ++j, mask += words_per_cw_) {
-    // parity(popcount(a) + popcount(b)) == parity(popcount(a ^ b)), so the
-    // per-word ANDs can be XOR-reduced before a single popcount.
-    std::uint64_t acc = 0;
-    for (std::size_t wi = 0; wi < words_per_cw_; ++wi) acc ^= words[wi] & mask[wi];
-    syn |= (static_cast<std::uint32_t>(std::popcount(acc)) & 1u) << j;
+  for (std::size_t j = 0; j < r_; ++j) {
+    syn |= (static_cast<std::uint32_t>(std::popcount(acc[j])) & 1u) << j;
   }
   return syn;
 }
+
+#if !SUDOKU_HAS_AVX512
+// Targets other than x86-64 carry no AVX-512 kernel: it is never selected,
+// and a direct call is a programming error.
+bool Hamming::avx512_supported() { return false; }
+
+std::uint32_t Hamming::syndrome_avx512(const BitVec&) const {
+  std::fprintf(stderr, "Hamming: syndrome_avx512 called in a build without it\n");
+  std::abort();
+}
+#endif
 
 std::uint32_t Hamming::syndrome_reference(const BitVec& codeword) const {
   assert(codeword.size() == n_);

@@ -22,7 +22,8 @@ namespace sudoku {
 
 class Hamming {
  public:
-  // `message_bits` is the number of protected bits (data + CRC).
+  // `message_bits` is the number of protected bits (data + CRC). Throws
+  // std::invalid_argument past 16 check bits (message_bits > 65519).
   explicit Hamming(std::size_t message_bits);
 
   std::size_t message_bits() const { return k_; }
@@ -34,10 +35,28 @@ class Hamming {
   // in place. `codeword` must be codeword_bits() long.
   void encode(BitVec& codeword) const;
 
-  // Syndrome of a (possibly corrupted) codeword. 0 = consistent.
-  // Word-parallel: one AND + popcount-parity per check bit per backing
-  // word, using the per-word parity masks precomputed at construction.
-  std::uint32_t syndrome(const BitVec& codeword) const;
+  // Syndrome of a (possibly corrupted) codeword. 0 = consistent. Runs
+  // syndrome_avx512() when the host has AVX-512F and AVX-512 VPOPCNTDQ,
+  // else syndrome_portable(); the choice is made once per process, from
+  // the CPU alone.
+  std::uint32_t syndrome(const BitVec& codeword) const {
+    return avx512_ ? syndrome_avx512(codeword) : syndrome_portable(codeword);
+  }
+
+  // Word-parallel kernel: for each backing word, one AND + XOR per check
+  // bit into that bit's accumulator, then one popcount parity per check
+  // bit.
+  std::uint32_t syndrome_portable(const BitVec& codeword) const;
+
+  // AVX-512 kernel: each backing word is broadcast and ternlog-ed against
+  // its 16 check-bit masks in two zmm accumulators; VPOPCNTQ gives all the
+  // parities at once. Only callable when avx512_supported(); compiled to
+  // an abort stub on targets other than x86-64.
+  std::uint32_t syndrome_avx512(const BitVec& codeword) const;
+
+  // True iff the build carries the AVX-512 kernel and the host CPU has
+  // AVX-512F and AVX-512 VPOPCNTDQ. Evaluated once per process.
+  static bool avx512_supported();
 
   // Bit-serial oracle (XOR of the positions of all set bits, walking set
   // bits one at a time). Identical value to syndrome(); kept as the
@@ -80,12 +99,15 @@ class Hamming {
   std::vector<std::uint32_t> index_to_pos_;
   // Hamming position -> index + 1 (0 = invalid position)
   std::vector<std::uint32_t> pos_to_index_plus1_;
-  // Per-check-bit parity masks over the codeword's backing words: row j
-  // (words_per_cw_ words starting at j*words_per_cw_) selects the indices
-  // whose Hamming position has bit j set. Syndrome bit j is the parity of
-  // popcount(codeword & row_j).
+  // Parity masks, transposed: entry [wi * kMaskLanes + j] selects the
+  // indices of backing word wi whose Hamming position has bit j set, and
+  // lanes j >= r_ are zero. Syndrome bit j is the parity of the XOR over
+  // wi of (word_wi & entry[wi][j]). One 128-byte row per word is two zmm
+  // loads for the AVX-512 kernel; the portable kernel reads the same rows.
+  static constexpr std::size_t kMaskLanes = 16;
   std::size_t words_per_cw_ = 0;
-  std::vector<std::uint64_t> check_masks_;
+  std::vector<std::uint64_t> masks_;
+  bool avx512_ = false;  // syndrome() runs syndrome_avx512()
 
   // Bit-slice program for the batch kernels: for codeword index i,
   // entries [slice_off_[i], slice_off_[i+1]) name the syndrome bits of

@@ -23,6 +23,7 @@
 // probe never reads them.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -106,6 +107,16 @@ class SttramArray {
     const std::uint64_t base = line * words_per_line_;
     for (std::uint32_t i = 0; i < words_per_line_; ++i)
       if (load_word(base + i) != w[i]) return false;
+    return true;
+  }
+
+  // Line `line` of this array against the same line of `other`, compared
+  // in place (both arrays must have this one's line width).
+  bool line_equals(std::uint64_t line, const SttramArray& other) const {
+    assert(other.words_per_line_ == words_per_line_);
+    const std::uint64_t base = line * words_per_line_;
+    for (std::uint32_t i = 0; i < words_per_line_; ++i)
+      if (load_word(base + i) != other.load_word(base + i)) return false;
     return true;
   }
 

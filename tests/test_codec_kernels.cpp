@@ -1,10 +1,10 @@
 // Differential tests for the word-at-a-time codec kernels (docs/perf.md):
-// the slicing-by-8 CRC, the parity-mask Hamming syndrome and the per-word
-// Horner BCH syndromes must be *bit-identical* to their bit-serial oracles
-// on random payloads and random <=6-bit error masks — the "bit-identical
-// or it doesn't ship" rule. Every assertion prints the trial seed so a
-// failure replays from the command line (same style as the PR 2 codec
-// property test).
+// the slicing-by-8 CRC, the parity-mask Hamming syndromes (portable and
+// AVX-512) and the per-word Horner BCH syndromes must be *bit-identical*
+// to their bit-serial oracles on random payloads and random <=6-bit error
+// masks — the "bit-identical or it doesn't ship" rule. Every assertion
+// prints the trial seed so a failure replays from the command line (same
+// style as the codec property tests).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -76,6 +76,64 @@ TEST(CodecKernels, HammingMaskSyndromeMatchesReference) {
     inject(cw, rng, 6);
     ASSERT_EQ(h.syndrome(cw), h.syndrome_reference(cw)) << "seed " << seed;
   }
+}
+
+using SyndromeKernel = std::uint32_t (Hamming::*)(const BitVec&) const;
+
+// One syndrome kernel against syndrome_reference. On the production
+// 543->553 code: every single- and two-bit pattern over an encoded
+// codeword, then random words. Then random words at the widths where the
+// word count or the check-bit count changes: 4 (1 word, r = 3), 57 (1
+// word, r = 6), 64 (2 words, r = 7), 120 (2 words), 247 (4 words, r = 8),
+// 1013 (16 words, r = 10), 1014 (17 words, r = 11) and 65519 (1024 words,
+// r = 16, every mask lane in use). Every failure names the kernel, the
+// seed and the width.
+void check_syndrome_kernel(SyndromeKernel kernel, const char* name) {
+  {
+    const Hamming h(LineCodec::kMessageBits);
+    const std::size_t n = h.codeword_bits();
+    const std::uint64_t seed = kBaseSeed + 7;
+    Rng rng(seed);
+    BitVec cw = random_bits(n, rng);
+    h.encode(cw);
+    for (std::size_t a = 0; a < n; ++a) {
+      cw.flip(a);
+      ASSERT_EQ((h.*kernel)(cw), h.syndrome_reference(cw))
+          << name << " seed " << seed << " width " << h.message_bits() << " bit " << a;
+      for (std::size_t b = a + 1; b < n; ++b) {
+        cw.flip(b);
+        ASSERT_EQ((h.*kernel)(cw), h.syndrome_reference(cw))
+            << name << " seed " << seed << " width " << h.message_bits() << " bits "
+            << a << "," << b;
+        cw.flip(b);
+      }
+      cw.flip(a);
+    }
+  }
+  for (const std::size_t width : {std::size_t{LineCodec::kMessageBits}, std::size_t{4},
+                                  std::size_t{57}, std::size_t{64}, std::size_t{120},
+                                  std::size_t{247}, std::size_t{1013}, std::size_t{1014},
+                                  std::size_t{65519}}) {
+    const Hamming h(width);
+    const int trials = width == LineCodec::kMessageBits ? kTrials
+                       : width > 2048                    ? 100
+                                                         : 2000;
+    for (int trial = 0; trial < trials; ++trial) {
+      const std::uint64_t seed = kBaseSeed + (width << 20) + static_cast<std::uint64_t>(trial);
+      Rng rng(seed);
+      const BitVec cw = random_bits(h.codeword_bits(), rng);
+      ASSERT_EQ((h.*kernel)(cw), h.syndrome_reference(cw))
+          << name << " seed " << seed << " width " << width;
+    }
+  }
+}
+
+TEST(CodecKernels, HammingSyndromeKernelsMatchReference) {
+  ASSERT_NO_FATAL_FAILURE(check_syndrome_kernel(&Hamming::syndrome_portable, "portable"));
+  if (!Hamming::avx512_supported()) {
+    GTEST_SKIP() << "host lacks AVX-512F/VPOPCNTDQ; the portable kernel passed";
+  }
+  ASSERT_NO_FATAL_FAILURE(check_syndrome_kernel(&Hamming::syndrome_avx512, "avx512"));
 }
 
 TEST(CodecKernels, HammingDecodeOutcomeMatchesReferenceSyndromePath) {

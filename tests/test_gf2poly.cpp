@@ -45,6 +45,29 @@ TEST(Gf2Poly, PowXMod) {
   for (std::uint64_t e = 1; e < 7; ++e) EXPECT_NE(pow_x_mod(e, m), 1u) << e;
 }
 
+// Carry-less a·b in 128 bits.
+unsigned __int128 mul128(std::uint64_t a, std::uint64_t b) {
+  unsigned __int128 r = 0;
+  for (int i = 0; i < 64; ++i) {
+    if ((b >> i) & 1u) r ^= static_cast<unsigned __int128>(a) << i;
+  }
+  return r;
+}
+
+TEST(Gf2Poly, PowXDivIsTheQuotient) {
+  // floor(x^e / m)·m + (x^e mod m) == x^e for every e whose quotient fits
+  // a word, including the CRC-31 Barrett constant floor(x^94 / g).
+  const std::uint64_t crc_g = mul(find_primitive(30), 0b11);
+  for (const std::uint64_t m : {std::uint64_t{0b11}, std::uint64_t{0b1011}, crc_g}) {
+    const int dm = degree(m);
+    for (std::uint64_t e = static_cast<std::uint64_t>(dm); e <= static_cast<std::uint64_t>(dm) + 63;
+         ++e) {
+      const unsigned __int128 xe = static_cast<unsigned __int128>(1) << e;
+      ASSERT_EQ(mul128(pow_x_div(e, m), m) ^ pow_x_mod(e, m), xe) << "m " << m << " e " << e;
+    }
+  }
+}
+
 TEST(Gf2Poly, KnownIrreducibles) {
   EXPECT_TRUE(is_irreducible(0b111, 2));    // x^2+x+1
   EXPECT_TRUE(is_irreducible(0b1011, 3));   // x^3+x+1

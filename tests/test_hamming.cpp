@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.h"
 
 namespace sudoku {
@@ -21,6 +23,13 @@ TEST(Hamming, SudokuLayoutUsesTenCheckBits) {
   Hamming h(543);
   EXPECT_EQ(h.check_bits(), 10u);
   EXPECT_EQ(h.codeword_bits(), 553u);
+}
+
+TEST(Hamming, RejectsCodesPastSixteenCheckBits) {
+  // The syndrome kernels hold 16 check bits: 65519 message bits is the
+  // widest code they serve.
+  EXPECT_EQ(Hamming(65519).check_bits(), 16u);
+  EXPECT_THROW(Hamming(65520), std::invalid_argument);
 }
 
 TEST(Hamming, EncodedWordHasZeroSyndrome) {
