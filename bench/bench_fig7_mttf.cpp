@@ -20,6 +20,7 @@
 #include "common/prob.h"
 #include "exp/rare_event.h"
 #include "reliability/analytical.h"
+#include "reliability/montecarlo.h"
 
 using namespace sudoku;
 using namespace sudoku::reliability;
@@ -90,11 +91,12 @@ int main(int argc, char** argv) {
   const double lifted_groups =
       static_cast<double>(c.num_lines) / static_cast<double>(group_lines);
 
+  reliability::McConfig group;
+  group.cache.num_lines = group_lines;
+  group.cache.group_size = static_cast<std::uint32_t>(group_lines);
+  group.level = SudokuLevel::kX;
   exp::RareEventConfig recfg;
-  recfg.base.cache.num_lines = group_lines;
-  recfg.base.cache.group_size = static_cast<std::uint32_t>(group_lines);
-  recfg.base.cache.ber = c.ber;  // the operating point — no acceleration
-  recfg.base.level = SudokuLevel::kX;
+  recfg.base.ber = c.ber;  // the operating point — no acceleration
   recfg.base.seed = run.args.seed_or(41);
   recfg.trials = 20000 * run.args.scale;
   // SuDoku-X cannot fail with fewer than 4 faults: a DUE needs >= 2 lines
@@ -104,7 +106,8 @@ int main(int argc, char** argv) {
   // zero-failure) variance contribution.
   recfg.min_count = 4;
 
-  const auto est = run.rare(recfg, "fig7_rare_event");
+  const auto est = run.rare([&group] { return reliability::make_scheme(group); }, recfg,
+                            "fig7_rare_event");
 
   CacheParams cg = c;
   cg.num_lines = group_lines;
@@ -143,7 +146,7 @@ int main(int argc, char** argv) {
   }
   exp::JsonObject rare;
   rare.set("level", "X")
-      .set("ber", recfg.base.cache.ber)
+      .set("ber", recfg.base.ber)
       .set("group_lines", group_lines)
       .set("lifted_groups", lifted_groups)
       .set("p_group_mc", est.p_unit)

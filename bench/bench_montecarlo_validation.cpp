@@ -111,10 +111,11 @@ int main(int argc, char** argv) {
   const auto unweighted = run.mc(gcfg, "mc_validation.rare_unweighted");
 
   exp::RareEventConfig recfg;
-  recfg.base = gcfg;
+  recfg.base = reliability::kernel_config(gcfg);
   recfg.trials = 20000 * scale;
   recfg.min_count = 4;  // X needs two 2-fault lines — k < 4 cannot fail
-  const auto est = run.rare(recfg, "mc_validation.rare_is");
+  const auto est = run.rare([&gcfg] { return reliability::make_scheme(gcfg); }, recfg,
+                            "mc_validation.rare_is");
 
   const double p_mc = unweighted.p_failure_per_interval();
   const double var_mc =

@@ -526,9 +526,10 @@ class Run {
     return r;
   }
 
-  exp::RareEventEstimate rare(const exp::RareEventConfig& cfg,
+  exp::RareEventEstimate rare(const exp::SchemeFactory& factory,
+                              const exp::RareEventConfig& cfg,
                               const std::string& scope) {
-    auto est = exp::run_rare_event(cfg, options(scope), &reset_last());
+    auto est = exp::run_rare_event(factory, cfg, options(scope), &reset_last());
     settle();
     return est;
   }

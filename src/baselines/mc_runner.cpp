@@ -17,15 +17,36 @@ double BaselineMcResult::fit(double interval_s) const {
   return p_failure_per_interval() * (kSecondsPerBillionHours / interval_s);
 }
 
-BaselineMcResult& BaselineMcResult::operator+=(const BaselineMcResult& other) {
-  metrics += other.metrics;
-  intervals += other.intervals;
-  faults_injected += other.faults_injected;
-  corrected += other.corrected;
-  due_units += other.due_units;
-  sdc_units += other.sdc_units;
-  failure_intervals += other.failure_intervals;
-  return *this;
+const McFields<BaselineMcResult>& BaselineMcResult::fields() {
+  static const McFields<BaselineMcResult> kFields = {
+      {"intervals", &BaselineMcResult::intervals},
+      {"faults_injected", &BaselineMcResult::faults_injected},
+      {"corrected", &BaselineMcResult::corrected},
+      {"due_units", &BaselineMcResult::due_units},
+      {"sdc_units", &BaselineMcResult::sdc_units},
+      {"failure_intervals", &BaselineMcResult::failure_intervals},
+  };
+  return kFields;
+}
+
+void BaselineMcResult::instrument(CacheScheme& /*clone*/, KernelHooks& hooks) {
+  hooks.registry = &metrics;
+  hooks.intervals = metrics.counter("baseline.intervals");
+  hooks.corrected = metrics.counter("baseline.corrected");
+  hooks.due_units = metrics.counter("baseline.due_units");
+  hooks.sdc_units = metrics.counter("baseline.sdc_units");
+  hooks.failure_intervals = metrics.counter("baseline.failure_intervals");
+  hooks.faults_per_interval =
+      metrics.histogram("baseline.faults_per_interval", kFaultsPerIntervalEdges);
+}
+
+void BaselineMcResult::collect(const IntervalCounts& c, const CacheScheme& /*clone*/) {
+  intervals = c.intervals;
+  faults_injected = c.faults_injected;
+  corrected = c.corrected;
+  due_units = c.due_units;
+  sdc_units = c.sdc_units;
+  failure_intervals = c.failure_intervals;
 }
 
 Rng format_for_run(CacheScheme& scheme, const BaselineMcConfig& config) {
@@ -105,8 +126,8 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const SttramArray& share
       OBS_ADD(m_stuck, stuck.cells().size());
       OBS_ADD(m_cluster, tick.cluster_events);
     } else {
-      drawn = hooks.fixed_fault_count >= 0
-                  ? static_cast<std::uint64_t>(hooks.fixed_fault_count)
+      drawn = config.fixed_fault_count >= 0
+                  ? static_cast<std::uint64_t>(config.fixed_fault_count)
                   : injector.draw_count(rng);
       flips.clear();
       injector.draw_positions(rng, drawn, flips);
@@ -134,7 +155,7 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const SttramArray& share
       // The FaultBatch iteration order, which sets SuDoku-Z's repair split.
       injector.batch_order(flips, touched);
       if (hooks.host_writes) {
-        counts.faults_injected += hooks.host_writes(rng, *own_golden, touched);
+        counts.faults_injected += hooks.host_writes(scheme, rng, *own_golden, touched);
       }
     }
 
@@ -207,33 +228,7 @@ IntervalCounts run_interval_kernel(CacheScheme& scheme, const SttramArray& share
 
 BaselineMcResult run_baseline_mc(CacheScheme& scheme, const BaselineMcConfig& config) {
   const Rng rng = format_for_run(scheme, config);
-  return run_baseline_mc(scheme, rng, config);
-}
-
-BaselineMcResult run_baseline_mc(const CacheScheme& prototype, Rng rng,
-                                 const BaselineMcConfig& config) {
-  const std::unique_ptr<CacheScheme> scheme = prototype.clone();
-  BaselineMcResult result;
-  KernelHooks hooks;
-#if SUDOKU_OBS_ENABLED
-  obs::MetricsRegistry& m = result.metrics;
-  hooks.registry = &m;
-  hooks.intervals = m.counter("baseline.intervals");
-  hooks.corrected = m.counter("baseline.corrected");
-  hooks.due_units = m.counter("baseline.due_units");
-  hooks.sdc_units = m.counter("baseline.sdc_units");
-  hooks.failure_intervals = m.counter("baseline.failure_intervals");
-  hooks.faults_per_interval =
-      m.histogram("baseline.faults_per_interval", kFaultsPerIntervalEdges);
-#endif
-  const IntervalCounts c = run_interval_kernel(*scheme, prototype.array(), rng, config, hooks);
-  result.intervals = c.intervals;
-  result.faults_injected = c.faults_injected;
-  result.corrected = c.corrected;
-  result.due_units = c.due_units;
-  result.sdc_units = c.sdc_units;
-  result.failure_intervals = c.failure_intervals;
-  return result;
+  return run_mc<BaselineMcResult>(scheme, rng, config);
 }
 
 }  // namespace sudoku::baselines

@@ -25,17 +25,23 @@
 // shards of one experiment (src/exp) share one prototype and none of them
 // formats or copies a golden of its own.
 //
-// reliability::run_montecarlo (SuDoku) and run_baseline_mc (below) are thin
-// front-ends over run_interval_kernel: they fill its inputs and map its
-// counts onto their result structs.
+// The two front-ends, reliability::run_montecarlo (SuDoku) and
+// run_baseline_mc (below), share everything but their result types: one
+// shard entry (run_mc), one format helper (format_for_run), and in src/exp
+// one engine adapter and one checkpoint codec. A result type names its
+// counters once (fields()); that list drives its shard merge here and its
+// checkpoint payload in src/exp.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "baselines/scheme.h"
 #include "faults/scenario.h"
+#include "obs/macros.h"
 #include "obs/metrics.h"
 
 namespace sudoku::baselines {
@@ -45,6 +51,13 @@ struct BaselineMcConfig {
   std::uint64_t max_intervals = 1000;
   std::uint64_t target_failures = 0;  // stop early after N failing intervals
   std::uint64_t seed = 1;
+
+  // >= 0: every i.i.d. interval injects exactly this many faults at uniform
+  // distinct positions (as FaultInjector::sample_exact) instead of a
+  // Binomial(total bits, ber) count, i.e. the conditional fault law given
+  // the count. The count-stratified rare-event sampler (exp/rare_event.h)
+  // runs one such campaign per count. Ignored in scenario mode. -1 = off.
+  std::int64_t fixed_fault_count = -1;
 
   // Experiment-engine hooks. In per-trial-stream mode interval t draws all
   // of its randomness from an Rng seeded with
@@ -71,57 +84,17 @@ struct BaselineMcConfig {
   const faults::FaultScenario* scenario = nullptr;
 };
 
-struct BaselineMcResult {
-  std::uint64_t intervals = 0;
-  std::uint64_t faults_injected = 0;
-  std::uint64_t corrected = 0;
-  std::uint64_t due_units = 0;
-  std::uint64_t sdc_units = 0;
-  std::uint64_t failure_intervals = 0;
-
-  // baseline.* event series (deterministic counts only; bit-identical
-  // under the engine's ordered shard merge, like the fields above).
-  obs::MetricsRegistry metrics;
-
-  double p_failure_per_interval() const {
-    return intervals ? static_cast<double>(failure_intervals) / intervals : 0.0;
-  }
-  double fit(double interval_s) const;
-
-  // Shard-merge reduction for the experiment engine: plain sums.
-  BaselineMcResult& operator+=(const BaselineMcResult& other);
-};
-
-// Formats `scheme` the way every run of `config` starts: from the reserved
-// kFormatStream in per-trial-stream mode, else from Rng(config.seed).
-// Returns that Rng; a run without per-trial streams draws its intervals
-// from where the format left it.
-Rng format_for_run(CacheScheme& scheme, const BaselineMcConfig& config);
-
-// Runs `config` on a clone of `prototype`, which format_for_run formatted
-// for a config with the same seed and stream mode and which returned `rng`.
-// The prototype is only read, so concurrent shards may share it.
-BaselineMcResult run_baseline_mc(const CacheScheme& prototype, Rng rng,
-                                 const BaselineMcConfig& config);
-
-// format_for_run(scheme, config), then the run above with `scheme` as the
-// prototype: `scheme` ends formatted, the faults land on its clone.
-BaselineMcResult run_baseline_mc(CacheScheme& scheme, const BaselineMcConfig& config);
-
 // ---- the kernel ----------------------------------------------------------
 
-// Kernel inputs that only some front-ends use; the defaults run the plain
-// i.i.d. / scenario loop.
+// Kernel inputs beyond the config: SuDoku's §VIII-B host writes, and the
+// instruments a result type records into. The defaults run the plain
+// i.i.d. / scenario loop and record nothing.
 struct KernelHooks {
-  // >= 0: every i.i.d. interval injects exactly this many faults at uniform
-  // distinct positions (as FaultInjector::sample_exact) instead of a Binomial
-  // count. Ignored in scenario mode.
-  std::int64_t fixed_fault_count = -1;
   // Runs between apply and scrub on i.i.d. intervals with the interval's
   // Rng. It may mutate the scheme and the golden snapshot (the run's
   // private copy of it), must append every unit it faulted to `touched`,
   // and returns the faults it injected.
-  std::function<std::uint64_t(Rng& rng, SttramArray& golden,
+  std::function<std::uint64_t(CacheScheme& scheme, Rng& rng, SttramArray& golden,
                               std::vector<std::uint64_t>& touched)>
       host_writes;
   // Instruments the kernel records into; a null handle records nothing.
@@ -159,5 +132,77 @@ struct IntervalCounts {
 IntervalCounts run_interval_kernel(CacheScheme& scheme, const SttramArray& golden,
                                    Rng& rng, const BaselineMcConfig& config,
                                    const KernelHooks& hooks);
+
+// ---- the shared front-end ------------------------------------------------
+
+// A result type's counters, by payload key, in payload order.
+template <typename Result>
+using McFields = std::vector<std::pair<const char*, std::uint64_t Result::*>>;
+
+// Shard-merge reduction of a result type: plain sums of its fields() and
+// its registry.
+template <typename Result>
+Result& add_fields(Result& into, const Result& from) {
+  into.metrics += from.metrics;
+  for (const auto& [key, field] : Result::fields()) into.*field += from.*field;
+  return into;
+}
+
+struct BaselineMcResult {
+  std::uint64_t intervals = 0;
+  std::uint64_t faults_injected = 0;
+  std::uint64_t corrected = 0;
+  std::uint64_t due_units = 0;
+  std::uint64_t sdc_units = 0;
+  std::uint64_t failure_intervals = 0;
+
+  // baseline.* event series (deterministic counts only; bit-identical
+  // under the engine's ordered shard merge, like the fields above).
+  obs::MetricsRegistry metrics;
+
+  static const McFields<BaselineMcResult>& fields();
+  // run_mc's two steps: create the baseline.* series in `metrics` and hand
+  // them to the kernel, then take the kernel's counts.
+  void instrument(CacheScheme& clone, KernelHooks& hooks);
+  void collect(const IntervalCounts& counts, const CacheScheme& clone);
+
+  double p_failure_per_interval() const {
+    return intervals ? static_cast<double>(failure_intervals) / intervals : 0.0;
+  }
+  double fit(double interval_s) const;
+
+  BaselineMcResult& operator+=(const BaselineMcResult& other) {
+    return add_fields(*this, other);
+  }
+};
+
+// Formats `scheme` the way every run of `config` starts: from the reserved
+// kFormatStream in per-trial-stream mode, else from Rng(config.seed).
+// Returns that Rng; a run without per-trial streams draws its intervals
+// from where the format left it.
+Rng format_for_run(CacheScheme& scheme, const BaselineMcConfig& config);
+
+// The shard entry of both front-ends: runs `config` with `hooks` on a
+// clone of `prototype`, which format_for_run formatted for a config with
+// the same seed and stream mode and which returned `rng`. Result
+// instruments the clone and the kernel, then collects the kernel's counts
+// and whatever the clone kept (SuDoku's repair split). The prototype is
+// only read, so concurrent shards may share it.
+template <typename Result>
+Result run_mc(const CacheScheme& prototype, Rng rng, const BaselineMcConfig& config,
+              KernelHooks hooks = {}) {
+  const std::unique_ptr<CacheScheme> scheme = prototype.clone();
+  Result result;
+#if SUDOKU_OBS_ENABLED
+  result.instrument(*scheme, hooks);
+#endif
+  result.collect(run_interval_kernel(*scheme, prototype.array(), rng, config, hooks),
+                 *scheme);
+  return result;
+}
+
+// format_for_run(scheme, config), then run_mc with `scheme` as the
+// prototype: `scheme` ends formatted, the faults land on its clone.
+BaselineMcResult run_baseline_mc(CacheScheme& scheme, const BaselineMcConfig& config);
 
 }  // namespace sudoku::baselines

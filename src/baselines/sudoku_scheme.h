@@ -60,6 +60,7 @@ class SudokuScheme : public LineScheme {
   bool consistent() const override { return ctrl_.parities_consistent(); }
 
   SudokuController& controller() { return ctrl_; }
+  const SudokuController& controller() const { return ctrl_; }
   // The repair split (ecc1 .. groups_repaired) summed over every
   // scrub_units call; the other fields stay zero.
   const ScrubStats& repairs() const { return repairs_; }

@@ -20,10 +20,6 @@ namespace {
 
 constexpr std::uint64_t kPayloadVersion = 1;
 
-std::uint64_t resolve_chunk(const ExpOptions& options, std::uint64_t total) {
-  return options.chunk ? options.chunk : default_chunk(total);
-}
-
 // Canonical config fingerprinting for checkpoint keys. Doubles are hashed
 // by bit pattern — any representable change invalidates, equal bits match.
 void feed(std::ostringstream& os, double v) {
@@ -33,23 +29,28 @@ void feed(std::ostringstream& os, double v) {
 }
 void feed(std::ostringstream& os, std::uint64_t v) { os << v << '|'; }
 
-std::uint64_t hash_mc_config(const reliability::McConfig& c, std::uint64_t chunk,
-                             const std::string& scope) {
+// The key of one experiment: the scheme, the kernel config, the shard
+// plan, and `front`, the front-end's inputs outside both. The scheme is
+// named by its prototype's name, geometry and storage overhead, which for
+// SuDoku covers the level, line count, inner code and group size, plus
+// SuDoku's SDR mismatch cap, which none of those show.
+std::uint64_t config_key(const baselines::CacheScheme& scheme,
+                         const baselines::BaselineMcConfig& c, std::uint64_t chunk,
+                         const std::string& scope, const std::string& front) {
   std::ostringstream os;
-  os << "mc|" << scope << '|';
-  feed(os, static_cast<std::uint64_t>(c.cache.num_lines));
-  feed(os, static_cast<std::uint64_t>(c.cache.group_size));
-  feed(os, c.cache.ber);
-  feed(os, c.cache.scrub_interval_s);
-  feed(os, static_cast<std::uint64_t>(c.cache.inner_ecc_t));
-  feed(os, static_cast<std::uint64_t>(c.level));
-  feed(os, c.seed);
+  os << scope << '|' << front << '|' << scheme.name() << '|';
+  feed(os, scheme.num_units());
+  feed(os, static_cast<std::uint64_t>(scheme.bits_per_unit()));
+  feed(os, scheme.overhead_bits_per_line());
+  if (const auto* sudoku = dynamic_cast<const baselines::SudokuScheme*>(&scheme)) {
+    feed(os, static_cast<std::uint64_t>(
+                 sudoku->controller().config().sdr_mismatch_cap()));
+  }
+  feed(os, c.ber);
   feed(os, c.max_intervals);
   feed(os, c.target_failures);
-  feed(os, std::uint64_t{1});  // was verify_against_golden (always on); keeps keys stable
+  feed(os, c.seed);
   feed(os, static_cast<std::uint64_t>(c.fixed_fault_count + 1));
-  feed(os, c.host_writes_per_interval);
-  feed(os, c.wer);
   // Scenario identity (spec + geometry + seed): checkpoints recorded under
   // one fault scenario must never be adopted by a run under another.
   feed(os, c.scenario ? c.scenario->fingerprint() : std::uint64_t{0});
@@ -57,29 +58,79 @@ std::uint64_t hash_mc_config(const reliability::McConfig& c, std::uint64_t chunk
   return fnv1a64(os.str());
 }
 
-std::uint64_t hash_baseline_config(const baselines::BaselineMcConfig& c,
-                                   std::uint64_t chunk, const std::string& scope) {
+// SuDoku's inputs outside the scheme and its kernel config: host writes.
+std::string sudoku_front(const reliability::McConfig& c) {
   std::ostringstream os;
-  os << "baseline|" << scope << '|';
-  feed(os, c.ber);
-  feed(os, c.max_intervals);
-  feed(os, c.target_failures);
-  feed(os, c.seed);
-  feed(os, c.scenario ? c.scenario->fingerprint() : std::uint64_t{0});
-  feed(os, chunk);
-  return fnv1a64(os.str());
+  os << "mc|";
+  feed(os, c.host_writes_per_interval);
+  feed(os, c.wer);
+  return os.str();
 }
 
-// Runs `launch` (which receives the shard plan) under wall-clock timing
-// and fills `stats` from the merged result's interval count.
-template <typename Result, typename LaunchFn>
-Result timed_run(const ExpOptions& options, std::uint64_t total,
-                 RunStats* stats, LaunchFn&& launch) {
-  const std::uint64_t chunk = resolve_chunk(options, total);
-  const auto shards = make_shards(total, chunk);
+// The one engine adapter: checkpoint and fleet wiring, one formatted
+// prototype per experiment, the sharded run and its timing.
+template <typename Result>
+Result run_parallel(const SchemeFactory& factory, baselines::BaselineMcConfig config,
+                    const baselines::KernelHooks& hooks, const std::string& front,
+                    const char* default_scope, const ExpOptions& options,
+                    RunStats* stats) {
+  config.per_trial_seed_streams = true;
+  const std::uint64_t chunk =
+      options.chunk ? options.chunk : default_chunk(config.max_intervals);
+  const auto shards = make_shards(config.max_intervals, chunk);
   ThreadPool pool(options.threads);
   const auto t0 = std::chrono::steady_clock::now();
-  Result merged = launch(pool, shards);
+  // One formatted image for the whole experiment, freed with it: every
+  // shard runs on a clone and reads the prototype's array as golden.
+  const std::unique_ptr<baselines::CacheScheme> prototype = factory();
+  const Rng rng = baselines::format_for_run(*prototype, config);
+
+  RunShardedOptions<Result> opt;
+  opt.target_failures = config.target_failures;
+  opt.report = options.report;
+  opt.after_shard = options.after_shard;
+  if (options.checkpoint) {
+    opt.checkpoint = options.checkpoint;
+    opt.key.experiment =
+        options.checkpoint_scope.empty() ? default_scope : options.checkpoint_scope;
+    opt.key.config_hash =
+        config_key(*prototype, config, chunk, options.checkpoint_scope, front);
+    opt.key.base_seed = config.seed;
+    opt.encode = &encode_payload<Result>;
+    opt.decode = &decode_payload<Result>;
+  }
+  // Fleet mode: shards are claimed through the checkpoint store by a queue
+  // that lives until the engine call returns.
+  std::optional<ShardWorkQueue> queue;
+  if (options.fleet) {
+    if (!opt.checkpoint) {
+      throw std::runtime_error(
+          "ExpOptions: fleet mode requires a checkpoint store (the shared "
+          "store is how workers coordinate)");
+    }
+    WorkQueueOptions qopt;
+    qopt.poll = std::chrono::milliseconds(options.poll_ms);
+    queue.emplace(opt.checkpoint, opt.key, qopt);
+    opt.queue = &*queue;
+  }
+  Result merged = run_sharded<Result>(
+      pool, shards, opt,
+      [&](const Shard& shard, const EarlyStop& early) -> std::optional<Result> {
+        // The shard's trial window, and a stop hook for the early stop or a
+        // requested shutdown: an abandoned shard's partial result is never
+        // recorded.
+        baselines::BaselineMcConfig window = config;
+        window.first_trial = shard.first;
+        window.max_intervals = shard.count;
+        bool aborted = false;
+        window.stop_hook = [&early, &aborted] {
+          if (early.triggered() || shutdown_requested()) aborted = true;
+          return aborted;
+        };
+        Result result = baselines::run_mc<Result>(*prototype, rng, window, hooks);
+        if (aborted) return std::nullopt;
+        return result;
+      });
   const auto t1 = std::chrono::steady_clock::now();
   if (stats) {
     stats->trials = merged.intervals;
@@ -90,216 +141,58 @@ Result timed_run(const ExpOptions& options, std::uint64_t total,
   return merged;
 }
 
-// Wraps one shard execution: installs the per-trial stream window, gives
-// the shard the global intra-shard target (bounds overshoot), and reports
-// std::nullopt when the shard was abandoned via the early-stop hook or a
-// requested shutdown — the caller must not record such partial results.
-template <typename Config, typename RunFn>
-auto run_shard(Config config, const Shard& shard, const EarlyStop& early,
-               RunFn&& run) -> std::optional<decltype(run(config))> {
-  config.per_trial_seed_streams = true;
-  config.first_trial = shard.first;
-  config.max_intervals = shard.count;
-  bool aborted = false;
-  config.stop_hook = [&early, &aborted] {
-    if (early.triggered() || shutdown_requested()) aborted = true;
-    return aborted;
-  };
-  auto result = run(config);
-  if (aborted) return std::nullopt;
-  return result;
-}
-
-// Shared fault-tolerance wiring for both adapters.
-template <typename Result>
-RunShardedOptions<Result> make_engine_options(
-    const ExpOptions& options, std::uint64_t target_failures,
-    std::uint64_t config_hash, std::uint64_t base_seed,
-    const std::string& default_scope,
-    std::string (*encode)(const Result&),
-    std::optional<Result> (*decode)(const std::string&)) {
-  RunShardedOptions<Result> opt;
-  opt.target_failures = target_failures;
-  opt.report = options.report;
-  opt.after_shard = options.after_shard;
-  if (options.checkpoint) {
-    opt.checkpoint = options.checkpoint;
-    opt.key.experiment =
-        options.checkpoint_scope.empty() ? default_scope : options.checkpoint_scope;
-    opt.key.config_hash = config_hash;
-    opt.key.base_seed = base_seed;
-    opt.encode = encode;
-    opt.decode = decode;
-  }
-  return opt;
-}
-
-// Fleet mode lives outside make_engine_options because the queue must
-// outlive the engine call: the caller provides the storage, this attaches.
-template <typename Result>
-void attach_fleet(const ExpOptions& options, RunShardedOptions<Result>& opt,
-                  std::optional<ShardWorkQueue>& queue) {
-  if (!options.fleet) return;
-  if (!opt.checkpoint) {
-    throw std::runtime_error(
-        "ExpOptions: fleet mode requires a checkpoint store (the shared "
-        "store is how workers coordinate)");
-  }
-  WorkQueueOptions qopt;
-  qopt.poll = std::chrono::milliseconds(options.poll_ms);
-  queue.emplace(opt.checkpoint, opt.key, qopt);
-  opt.queue = &*queue;
-}
-
-// ---- payload helpers ---------------------------------------------------
-
-bool read_u64(const JsonValue& root, const char* key, std::uint64_t* out) {
-  const JsonValue* v = root.find(key);
-  if (!v) return false;
-  const auto n = v->as_u64();
-  if (!n) return false;
-  *out = *n;
-  return true;
-}
-
-bool read_metrics(const JsonValue& root, obs::MetricsRegistry* out) {
-  const JsonValue* m = root.find("metrics");
-  if (!m) return false;
-  auto reg = metrics_from_json(*m);
-  if (!reg) return false;
-  *out = std::move(*reg);
-  return true;
-}
-
-bool payload_version_ok(const JsonValue& root) {
-  std::uint64_t v = 0;
-  return read_u64(root, "v", &v) && v == kPayloadVersion;
-}
-
 }  // namespace
 
 reliability::McResult run_montecarlo_parallel(const reliability::McConfig& config,
                                               const ExpOptions& options,
                                               RunStats* stats) {
-  const std::uint64_t chunk = resolve_chunk(options, config.max_intervals);
-  auto ropt = make_engine_options<reliability::McResult>(
-      options, config.target_failures,
-      hash_mc_config(config, chunk, options.checkpoint_scope), config.seed,
-      "montecarlo", &encode_mc_result, &decode_mc_result);
-  std::optional<ShardWorkQueue> queue;
-  attach_fleet(options, ropt, queue);
-  reliability::McConfig stream_config = config;
-  stream_config.per_trial_seed_streams = true;
-  return timed_run<reliability::McResult>(
-      options, config.max_intervals, stats, [&](ThreadPool& pool, const auto& shards) {
-        // One formatted image for the whole experiment, freed with it: every
-        // shard runs on a copy and reads the prototype's array as golden.
-        const reliability::McPrototype prototype =
-            reliability::format_prototype(stream_config);
-        return run_sharded<reliability::McResult>(
-            pool, shards, ropt,
-            [&](const Shard& shard, const EarlyStop& early) {
-              return run_shard(config, shard, early,
-                               [&prototype](const reliability::McConfig& c) {
-                                 return reliability::run_montecarlo(c, prototype);
-                               });
-            });
-      });
+  return run_parallel<reliability::McResult>(
+      [&config] { return reliability::make_scheme(config); },
+      reliability::kernel_config(config), reliability::kernel_hooks(config),
+      sudoku_front(config), "montecarlo", options, stats);
 }
 
 baselines::BaselineMcResult run_baseline_mc_parallel(
     const SchemeFactory& factory, const baselines::BaselineMcConfig& config,
     const ExpOptions& options, RunStats* stats) {
-  const std::uint64_t chunk = resolve_chunk(options, config.max_intervals);
-  auto ropt = make_engine_options<baselines::BaselineMcResult>(
-      options, config.target_failures,
-      hash_baseline_config(config, chunk, options.checkpoint_scope), config.seed,
-      "baseline_mc", &encode_baseline_mc_result, &decode_baseline_mc_result);
-  std::optional<ShardWorkQueue> queue;
-  attach_fleet(options, ropt, queue);
-  baselines::BaselineMcConfig stream_config = config;
-  stream_config.per_trial_seed_streams = true;
-  return timed_run<baselines::BaselineMcResult>(
-      options, config.max_intervals, stats, [&](ThreadPool& pool, const auto& shards) {
-        // One formatted image for the whole experiment, as above.
-        const std::unique_ptr<baselines::CacheScheme> prototype = factory();
-        const Rng rng = baselines::format_for_run(*prototype, stream_config);
-        return run_sharded<baselines::BaselineMcResult>(
-            pool, shards, ropt,
-            [&](const Shard& shard, const EarlyStop& early) {
-              return run_shard(config, shard, early,
-                               [&](const baselines::BaselineMcConfig& c) {
-                                 return baselines::run_baseline_mc(*prototype, rng, c);
-                               });
-            });
-      });
+  return run_parallel<baselines::BaselineMcResult>(factory, config, {}, "baseline",
+                                                   "baseline_mc", options, stats);
 }
 
-std::string encode_mc_result(const reliability::McResult& r) {
+template <typename Result>
+std::string encode_payload(const Result& r) {
   JsonObject o;
-  o.set("v", kPayloadVersion)
-      .set("intervals", r.intervals)
-      .set("faults_injected", r.faults_injected)
-      .set("ecc1_corrections", r.ecc1_corrections)
-      .set("raid4_repairs", r.raid4_repairs)
-      .set("sdr_repairs", r.sdr_repairs)
-      .set("hash2_invocations", r.hash2_invocations)
-      .set("groups_repaired", r.groups_repaired)
-      .set("due_lines", r.due_lines)
-      .set("sdc_lines", r.sdc_lines)
-      .set("failure_intervals", r.failure_intervals)
-      .set("metrics", metrics_to_json(r.metrics));
+  o.set("v", kPayloadVersion);
+  for (const auto& [key, field] : Result::fields()) o.set(key, r.*field);
+  o.set("metrics", metrics_to_json(r.metrics));
   return o.str();
 }
 
-std::optional<reliability::McResult> decode_mc_result(const std::string& payload) {
+template <typename Result>
+std::optional<Result> decode_payload(const std::string& payload) {
   const auto root = json_parse(payload);
-  if (!root || !payload_version_ok(*root)) return std::nullopt;
-  reliability::McResult r;
-  if (!read_u64(*root, "intervals", &r.intervals) ||
-      !read_u64(*root, "faults_injected", &r.faults_injected) ||
-      !read_u64(*root, "ecc1_corrections", &r.ecc1_corrections) ||
-      !read_u64(*root, "raid4_repairs", &r.raid4_repairs) ||
-      !read_u64(*root, "sdr_repairs", &r.sdr_repairs) ||
-      !read_u64(*root, "hash2_invocations", &r.hash2_invocations) ||
-      !read_u64(*root, "groups_repaired", &r.groups_repaired) ||
-      !read_u64(*root, "due_lines", &r.due_lines) ||
-      !read_u64(*root, "sdc_lines", &r.sdc_lines) ||
-      !read_u64(*root, "failure_intervals", &r.failure_intervals) ||
-      !read_metrics(*root, &r.metrics)) {
-    return std::nullopt;
+  if (!root) return std::nullopt;
+  const auto read_u64 = [&root](const char* key) -> std::optional<std::uint64_t> {
+    const JsonValue* v = root->find(key);
+    return v ? v->as_u64() : std::nullopt;
+  };
+  if (read_u64("v") != kPayloadVersion) return std::nullopt;
+  Result r;
+  for (const auto& [key, field] : Result::fields()) {
+    const auto n = read_u64(key);
+    if (!n) return std::nullopt;
+    r.*field = *n;
   }
+  const JsonValue* m = root->find("metrics");
+  auto metrics = m ? metrics_from_json(*m) : std::nullopt;
+  if (!metrics) return std::nullopt;
+  r.metrics = std::move(*metrics);
   return r;
 }
 
-std::string encode_baseline_mc_result(const baselines::BaselineMcResult& r) {
-  JsonObject o;
-  o.set("v", kPayloadVersion)
-      .set("intervals", r.intervals)
-      .set("faults_injected", r.faults_injected)
-      .set("corrected", r.corrected)
-      .set("due_units", r.due_units)
-      .set("sdc_units", r.sdc_units)
-      .set("failure_intervals", r.failure_intervals)
-      .set("metrics", metrics_to_json(r.metrics));
-  return o.str();
-}
-
-std::optional<baselines::BaselineMcResult> decode_baseline_mc_result(
-    const std::string& payload) {
-  const auto root = json_parse(payload);
-  if (!root || !payload_version_ok(*root)) return std::nullopt;
-  baselines::BaselineMcResult r;
-  if (!read_u64(*root, "intervals", &r.intervals) ||
-      !read_u64(*root, "faults_injected", &r.faults_injected) ||
-      !read_u64(*root, "corrected", &r.corrected) ||
-      !read_u64(*root, "due_units", &r.due_units) ||
-      !read_u64(*root, "sdc_units", &r.sdc_units) ||
-      !read_u64(*root, "failure_intervals", &r.failure_intervals) ||
-      !read_metrics(*root, &r.metrics)) {
-    return std::nullopt;
-  }
-  return r;
-}
+template std::string encode_payload(const reliability::McResult&);
+template std::optional<reliability::McResult> decode_payload(const std::string&);
+template std::string encode_payload(const baselines::BaselineMcResult&);
+template std::optional<baselines::BaselineMcResult> decode_payload(const std::string&);
 
 }  // namespace sudoku::exp

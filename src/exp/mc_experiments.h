@@ -1,7 +1,11 @@
-// Engine adapters for the two Monte-Carlo harnesses: shard the interval
-// budget, run each shard with per-trial seed streams on the engine's
-// threads, and merge deterministically. Merged counts are bit-identical for
-// any thread count (see docs/exp_engine.md for the exact contract).
+// The engine adapter for the Monte-Carlo front-ends: format one prototype
+// per experiment, shard the interval budget, run each shard
+// (baselines::run_mc) with per-trial seed streams on the engine's threads,
+// and merge deterministically. SuDoku (run_montecarlo_parallel) and the
+// baselines (run_baseline_mc_parallel) share this one adapter and one
+// checkpoint codec; they differ only in the scheme and the result type.
+// Merged counts are bit-identical for any thread count (see
+// docs/exp_engine.md for the exact contract).
 //
 // Fault tolerance (docs/robustness.md): pass a CheckpointStore to persist
 // every finished shard and replay them on resume; pass a ShardRunReport to
@@ -33,11 +37,12 @@ struct ExpOptions {
   // ---- fault tolerance ----
   // Checkpoint store (nullable). The checkpoint key is derived inside the
   // adapter from (checkpoint_scope, full config, resolved shard plan,
-  // seed), so any config change cold-starts automatically.
+  // seed, the prototype scheme's name, geometry and storage overhead,
+  // SuDoku's SDR mismatch cap and its host writes), so any config change
+  // cold-starts automatically.
   CheckpointStore* checkpoint = nullptr;
-  // Disambiguates runs whose configs would hash identically (e.g. the same
-  // BaselineMcConfig driven through different schemes). Also names the
-  // checkpoint subdirectory.
+  // Separates runs that share a store and would otherwise hash identically.
+  // Also names the checkpoint subdirectory.
   std::string checkpoint_scope;
   // Accumulates resume/retry/quarantine/interrupt accounting across calls.
   ShardRunReport* report = nullptr;
@@ -49,7 +54,7 @@ struct ExpOptions {
   // before they run, so N independent processes pointed at the same store
   // split one experiment and each merge the same bit-identical result.
   // Requires `checkpoint` (the store is the coordination medium); the
-  // adapters throw std::runtime_error if fleet is requested without it.
+  // adapter throws std::runtime_error if fleet is requested without it.
   // A claim older than WorkQueueOptions::lease with no published result is
   // stealable.
   bool fleet = false;
@@ -71,16 +76,17 @@ baselines::BaselineMcResult run_baseline_mc_parallel(
     const SchemeFactory& factory, const baselines::BaselineMcConfig& config,
     const ExpOptions& options = {}, RunStats* stats = nullptr);
 
-// ---- checkpoint payload codecs ----------------------------------------
-// Round-trip-exact JSON (de)serialization of shard results, including the
-// embedded metrics registry: decode(encode(r)) reproduces r bit for bit,
-// which is what makes resumed merges byte-identical to uninterrupted ones.
-// decode returns std::nullopt on any malformed payload (torn file, schema
-// drift) — the engine then recomputes the shard.
-std::string encode_mc_result(const reliability::McResult& r);
-std::optional<reliability::McResult> decode_mc_result(const std::string& payload);
-std::string encode_baseline_mc_result(const baselines::BaselineMcResult& r);
-std::optional<baselines::BaselineMcResult> decode_baseline_mc_result(
-    const std::string& payload);
+// ---- checkpoint payload codec ------------------------------------------
+// Round-trip-exact JSON (de)serialization of a shard result: "v", then
+// Result::fields() in order, then the embedded metrics registry.
+// decode(encode(r)) reproduces r bit for bit, which is what makes resumed
+// merges byte-identical to uninterrupted ones. decode returns std::nullopt
+// on any malformed payload (torn file, schema drift, another result
+// type's payload); the engine then recomputes the shard. Defined for
+// reliability::McResult and baselines::BaselineMcResult.
+template <typename Result>
+std::string encode_payload(const Result& r);
+template <typename Result>
+std::optional<Result> decode_payload(const std::string& payload);
 
 }  // namespace sudoku::exp

@@ -23,18 +23,10 @@ double resolve_tilted_ber(const StratifyParams& params) {
 
 }  // namespace
 
-StratifyParams RareEventConfig::stratify() const {
-  if (base.host_writes_per_interval != 0 || base.wer != 0.0) {
-    throw std::runtime_error(
-        "rare_event: write-error mode is not supported (the count tilt only "
-        "covers retention faults)");
-  }
+StratifyParams RareEventConfig::stratify(std::uint64_t total_bits) const {
   StratifyParams p;
-  // Mirrors run_montecarlo's controller construction: the stored line is
-  // the SuDoku codeword (data + CRC + ECC bits).
-  p.total_bits = static_cast<double>(base.cache.num_lines) *
-                 static_cast<double>(base.cache.sudoku_line_bits());
-  p.ber = base.cache.ber;
+  p.total_bits = static_cast<double>(total_bits);
+  p.ber = base.ber;
   p.trials = trials;
   p.tilted_ber = tilted_ber;
   p.min_count = min_count;
@@ -175,13 +167,16 @@ RareEventEstimate run_stratified(
   return combine_strata(plan, results);
 }
 
-RareEventEstimate run_rare_event(const RareEventConfig& config,
+RareEventEstimate run_rare_event(const SchemeFactory& factory,
+                                 const RareEventConfig& config,
                                  const ExpOptions& options, RunStats* stats) {
-  const RareEventPlan plan = plan_strata(config.stratify());
+  const std::unique_ptr<baselines::CacheScheme> probe = factory();
+  const RareEventPlan plan =
+      plan_strata(config.stratify(probe->num_units() * probe->bits_per_unit()));
   std::vector<RareStratumResult> results;
   results.reserve(plan.strata.size());
   for (const auto& stratum : plan.strata) {
-    reliability::McConfig mc = config.base;
+    baselines::BaselineMcConfig mc = config.base;
     mc.fixed_fault_count = static_cast<std::int64_t>(stratum.count);
     mc.max_intervals = stratum.trials;
     mc.target_failures = 0;  // every stratum runs its full allocation
@@ -190,8 +185,8 @@ RareEventEstimate run_rare_event(const RareEventConfig& config,
     mc.seed = Rng::derive_stream_seed(config.base.seed,
                                       kRareStreamBase + stratum.count);
     RunStats stratum_stats;
-    const reliability::McResult r =
-        run_montecarlo_parallel(mc, options, &stratum_stats);
+    const baselines::BaselineMcResult r =
+        run_baseline_mc_parallel(factory, mc, options, &stratum_stats);
     if (stats) {
       stats->trials += stratum_stats.trials;
       stats->wall_seconds += stratum_stats.wall_seconds;

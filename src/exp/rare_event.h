@@ -1,4 +1,4 @@
-// Importance-sampled rare-event Monte Carlo (ISSUE 8 tentpole b).
+// Importance-sampled rare-event Monte Carlo over any CacheScheme.
 //
 // The paper's headline numbers are tail probabilities: at the operating
 // point (BER 5.3e-6, 20 ms scrub) a SuDoku-X RAID group fails with
@@ -14,12 +14,14 @@
 // probabilities pi_k need simulation, and those are large (1e-4..1e-1 at
 // group scale) where the unconditional probability is ~1e-8. The
 // estimator therefore runs one conditional MC per fault count k — a
-// normal engine campaign with McConfig::fixed_fault_count = k, so each
-// stratum gets sharding, checkpoint/resume and the fleet queue for free —
-// and recombines with exact Binomial weights. This is importance sampling
-// with a *stratified* proposal: the likelihood ratio pmf_base(k)/q(k) is
-// applied in closed form per stratum, so no weight variance is left
-// except the Monte-Carlo noise of each pi_k.
+// normal engine campaign (run_baseline_mc_parallel) with
+// BaselineMcConfig::fixed_fault_count = k, so each stratum gets sharding,
+// checkpoint/resume and the fleet queue for free — and recombines with
+// exact Binomial weights. Any scheme a SchemeFactory builds can be
+// stratified: SuDoku (reliability::make_scheme) as well as ECC-k. This is
+// importance sampling with a *stratified* proposal: the likelihood ratio
+// pmf_base(k)/q(k) is applied in closed form per stratum, so no weight
+// variance is left except the Monte-Carlo noise of each pi_k.
 //
 // Trial allocation follows sqrt(pmf_base(k) * pmf_tilted(k)), where the
 // tilted pmf raises the BER so its mean sits past the failure threshold —
@@ -28,11 +30,11 @@
 // geometric mean approximates Neyman allocation when pi_k grows with k:
 // most trials land on the low counts that dominate pmf_base * pi_k, with
 // a decaying share along the tilted support. Counts that provably cannot
-// fail (k < 2 for ECC-1: no line can see two faults; k < 4 for SuDoku-X:
-// a DUE needs two lines with two faults each) are excluded exactly via
-// min_count; truncated support mass is reported as excluded_mass so
-// callers can bound the bias (a one-sided underestimate bounded by that
-// mass).
+// fail (k < t + 1 for ECC-t: no line can see t + 1 faults; k < 4 for
+// SuDoku-X: a DUE needs two lines with two faults each) are excluded
+// exactly via min_count; truncated support mass is reported as
+// excluded_mass so callers can bound the bias (a one-sided underestimate
+// bounded by that mass).
 //
 // Scale note: clustering rarity, unlike count rarity, cannot be tilted
 // away — at full-cache scale even a boosted count spreads over 2^20
@@ -46,18 +48,18 @@
 #include <functional>
 #include <vector>
 
+#include "baselines/mc_runner.h"
 #include "common/rng.h"
 #include "exp/mc_experiments.h"
 #include "exp/result_sink.h"
-#include "reliability/montecarlo.h"
 
 namespace sudoku::exp {
 
 // Model-agnostic description of one count-stratified campaign: the fault
 // count is Binomial(total_bits, ber) and the caller supplies whatever
 // conditional failure model applies. Used directly for closed-form toy
-// models (tests, table2's ECC cross-check) and derived from a McConfig by
-// RareEventConfig::stratify() for the full-controller estimator.
+// models (tests, table2's ECC cross-check) and derived from a scheme's
+// stored bits by RareEventConfig::stratify() for the full estimator.
 struct StratifyParams {
   double total_bits = 0;  // N of the Binomial fault count
   double ber = 0;         // per-bit fault probability per interval
@@ -83,12 +85,11 @@ struct StratifyParams {
 };
 
 struct RareEventConfig {
-  // Conditional-MC template: geometry, level, seed, verify flag. Run it at
-  // group scale (cache.num_lines == cache.group_size) and lift — see the
-  // scale note above. max_intervals / target_failures / fixed_fault_count
-  // are managed per stratum and ignored on input; write-error mode is
-  // rejected (the count tilt only covers retention faults).
-  reliability::McConfig base;
+  // Conditional-MC template: seed and per-bit ber of the i.i.d. fault
+  // field. Run it at group scale and lift — see the scale note above.
+  // max_intervals / target_failures / fixed_fault_count are managed per
+  // stratum and ignored on input.
+  baselines::BaselineMcConfig base;
 
   std::uint64_t trials = 20000;        // see StratifyParams
   double tilted_ber = 0.0;
@@ -96,9 +97,9 @@ struct RareEventConfig {
   double support_epsilon = 1e-12;
   std::uint64_t min_stratum_trials = 64;
 
-  // The Binomial count law implied by the controller geometry (num_lines
-  // stored SuDoku codewords of sudoku_line_bits() each).
-  StratifyParams stratify() const;
+  // The Binomial count law over a scheme's `total_bits` stored bits
+  // (num_units() x bits_per_unit()).
+  StratifyParams stratify(std::uint64_t total_bits) const;
 };
 
 struct RareStratum {
@@ -151,11 +152,16 @@ RareEventEstimate run_stratified(
     const RareEventPlan& plan, std::uint64_t seed,
     const std::function<bool(std::uint64_t count, Rng& rng)>& trial);
 
-// Full estimator: plan, run each stratum as an engine campaign (inherits
-// threads/checkpoint/fleet from `options`; stratum checkpoints separate
-// automatically because fixed_fault_count feeds the config hash), combine.
-// `stats` accumulates trials and wall clock across strata.
-RareEventEstimate run_rare_event(const RareEventConfig& config,
+// Full estimator over the schemes `factory` builds: plan from the
+// prototype's stored bits, run each stratum as an engine campaign
+// (run_baseline_mc_parallel; inherits threads/checkpoint/fleet from
+// `options`; stratum checkpoints separate automatically because
+// fixed_fault_count and the stratum seed feed the config hash), combine.
+// `stats` accumulates trials and wall clock across strata. The factory is
+// called once to size the plan and once per stratum for its prototype, so
+// it should build a group-scale scheme (see the scale note above).
+RareEventEstimate run_rare_event(const SchemeFactory& factory,
+                                 const RareEventConfig& config,
                                  const ExpOptions& options = {},
                                  RunStats* stats = nullptr);
 

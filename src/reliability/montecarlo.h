@@ -1,11 +1,13 @@
 // Monte-Carlo reliability harness for SuDoku (FaultSim-style, paper
 // §VII-A). Unlike the analytical models, this drives the *functional*
 // SuDoku controller: real CRC-31/ECC-1 codecs, real PLTs, real SDR trial
-// flips. run_montecarlo is a front-end over the one fault-interval kernel
-// (baselines/mc_runner.h, which lists its stages): it wraps the controller
-// in a baselines::SudokuScheme, passes the SuDoku-only inputs (fixed fault
-// counts, §VIII-B host writes) and maps the kernel's counts, plus the
-// scheme's repair split, onto McResult. Per interval the kernel injects
+// flips. SuDoku is one CacheScheme on the path every baseline takes
+// (baselines/mc_runner.h, which lists the kernel's stages): format_for_run,
+// the shard entry run_mc and, in src/exp, one engine adapter and one
+// checkpoint codec. This front-end only builds a SudokuScheme from
+// McConfig::cache/level (make_scheme), maps McConfig onto the kernel's run
+// config (kernel_config) and §VIII-B host writes (kernel_hooks), and maps
+// the clone's repair split onto McResult. Per interval the kernel injects
 // faults, scrubs the touched lines and classifies the outcome against
 // golden data:
 //   * DUE  — controller declared a line uncorrectable (data loss, detected)
@@ -21,10 +23,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
+#include "baselines/mc_runner.h"
 #include "baselines/sudoku_scheme.h"
-#include "common/rng.h"
 #include "faults/scenario.h"
 #include "obs/metrics.h"
 #include "reliability/analytical.h"
@@ -40,13 +43,6 @@ struct McConfig {
   // Stop early once this many DUE/SDC intervals were observed (0 = never).
   std::uint64_t target_failures = 0;
 
-  // Rare-event hook (exp/rare_event): when >= 0, every interval injects
-  // exactly this many faults at uniform distinct positions instead of a
-  // Binomial(total_bits, BER) count — i.e. the conditional fault law given
-  // the count. The stratified estimator runs one such conditional MC per
-  // fault count and reweights with the exact Binomial pmf. -1 = off.
-  std::int64_t fixed_fault_count = -1;
-
   // §VIII-B write-error mode: host writes per interval, each of which
   // flips every written bit with probability `wer` (write error rate).
   // SuDoku does not distinguish write errors from retention errors; with
@@ -59,8 +55,7 @@ struct McConfig {
   // the scenario instead of the i.i.d. injector: transient flips
   // (XOR-merged across sources) plus stuck cells that are re-asserted after
   // every repair. Same contract as baselines::BaselineMcConfig::scenario;
-  // fixed_fault_count and host_writes_per_interval are ignored in scenario
-  // mode.
+  // host_writes_per_interval is ignored in scenario mode.
   const faults::FaultScenario* scenario = nullptr;
 
   // Experiment-engine hooks (src/exp); same contract as the fields of the
@@ -88,6 +83,13 @@ struct McResult {
   // the same bit-identical shard-merge contract as the plain counters.
   obs::MetricsRegistry metrics;
 
+  static const baselines::McFields<McResult>& fields();
+  // baselines::run_mc's two steps: attach the clone's controller and the
+  // mc.* series to `metrics`, then take the kernel's counts and the
+  // clone's repair split.
+  void instrument(baselines::CacheScheme& clone, baselines::KernelHooks& hooks);
+  void collect(const baselines::IntervalCounts& counts, const baselines::CacheScheme& clone);
+
   double p_failure_per_interval() const {
     return intervals ? static_cast<double>(failure_intervals) / intervals : 0.0;
   }
@@ -96,25 +98,21 @@ struct McResult {
 
   std::string summary() const;
 
-  // Shard-merge reduction for the experiment engine: plain sums.
-  McResult& operator+=(const McResult& other);
+  McResult& operator+=(const McResult& other) { return baselines::add_fields(*this, other); }
 };
 
-// The formatted SuDoku scheme every run of `config` starts from, and the
-// Rng its format left (see baselines::format_for_run). The experiment
-// engine formats one per experiment and runs every shard on a copy.
-struct McPrototype {
-  baselines::SudokuScheme scheme;
-  Rng rng;
-};
-McPrototype format_prototype(const McConfig& config);
+// The SuDoku scheme every run of `config` drives: config.cache's geometry
+// and inner code at config.level, unformatted.
+std::unique_ptr<baselines::SudokuScheme> make_scheme(const McConfig& config);
 
-// Runs `config` on a copy of `prototype`, which format_prototype made for a
-// config with the same cache, level, seed and stream mode. The prototype is
-// only read, so concurrent shards may share it.
-McResult run_montecarlo(const McConfig& config, const McPrototype& prototype);
+// config's kernel inputs: everything but the scheme and the host writes.
+baselines::BaselineMcConfig kernel_config(const McConfig& config);
 
-// run_montecarlo(config, format_prototype(config)).
+// config's §VIII-B host writes as a kernel hook (none when
+// host_writes_per_interval is 0).
+baselines::KernelHooks kernel_hooks(const McConfig& config);
+
+// Formats make_scheme(config) and runs it through baselines::run_mc.
 McResult run_montecarlo(const McConfig& config);
 
 }  // namespace sudoku::reliability

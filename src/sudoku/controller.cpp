@@ -21,21 +21,6 @@ const char* to_string(SudokuLevel level) {
   return "?";
 }
 
-ScrubStats& ScrubStats::operator+=(const ScrubStats& o) {
-  lines_scanned += o.lines_scanned;
-  lines_clean += o.lines_clean;
-  ecc1_corrections += o.ecc1_corrections;
-  raid4_repairs += o.raid4_repairs;
-  sdr_repairs += o.sdr_repairs;
-  hash2_invocations += o.hash2_invocations;
-  groups_repaired += o.groups_repaired;
-  due_lines += o.due_lines;
-  due_line_ids.insert(due_line_ids.end(), o.due_line_ids.begin(), o.due_line_ids.end());
-  repaired_line_ids.insert(repaired_line_ids.end(), o.repaired_line_ids.begin(),
-                           o.repaired_line_ids.end());
-  return *this;
-}
-
 SudokuController::SudokuController(const SudokuConfig& config)
     : config_(config),
       codec_(config.inner_ecc_t),
@@ -105,10 +90,6 @@ void SudokuController::format(const std::function<BitVec(std::uint64_t)>& make_d
     array_.mark_verified(line);
   }
   rebuild_parities();
-}
-
-void SudokuController::format_zero() {
-  format([](std::uint64_t) { return BitVec(LineCodec::kDataBits); });
 }
 
 void SudokuController::format_random(Rng& rng) {

@@ -70,8 +70,6 @@ struct ScrubStats {
   // layer's retirement policy consumes this: a line that keeps showing up
   // here is a repair that did not stick, i.e. a suspected permanent fault.
   std::vector<std::uint64_t> repaired_line_ids;
-
-  ScrubStats& operator+=(const ScrubStats& o);
 };
 
 class SudokuController {
@@ -88,7 +86,6 @@ class SudokuController {
   // Fill every line with encoded data produced by `make_data(line)` and
   // rebuild all parity tables.
   void format(const std::function<BitVec(std::uint64_t)>& make_data);
-  void format_zero();
   void format_random(Rng& rng);
 
   // ---- host operations ----

@@ -7,6 +7,7 @@
 #include "baselines/hiecc_cache.h"
 #include "baselines/mc_runner.h"
 #include "baselines/raid6_cache.h"
+#include "baselines/sudoku_scheme.h"
 #include "baselines/twodp_cache.h"
 #include "reliability/analytical.h"
 
@@ -291,6 +292,79 @@ TEST(HiEccCache, SevenFaultsInRegionDetected) {
 TEST(HiEccCache, OverheadFarBelowEcc6PerLine) {
   HiEccCache cache(256);
   EXPECT_LT(cache.overhead_bits_per_line(), 6.0);  // ~5.25 bits per 64 B
+}
+
+// ---------- storage overhead (§VII-H, Table XII, §II-D) ----------
+// Each scheme's overhead_bits_per_line(), at the smallest geometry that
+// builds it, and the PLTs' SRAM at the paper's 64 MB geometry.
+
+// SuDoku-Z with `group`-line groups and inner code strength t, over the
+// fewest lines its Hash-2 allows (group^2).
+SudokuScheme sudoku_z(std::uint32_t group, int inner_t = 1) {
+  SudokuConfig cfg;
+  cfg.geo.num_lines = std::uint64_t{group} * group;
+  cfg.geo.group_size = group;
+  cfg.level = SudokuLevel::kZ;
+  cfg.inner_ecc_t = inner_t;
+  return SudokuScheme(cfg);
+}
+
+// The amortised parity share: everything above the 41 per-line CRC-31 +
+// ECC-1 bits.
+double parity_share(const CacheScheme& s) { return s.overhead_bits_per_line() - 41.0; }
+
+TEST(Storage, SudokuZMatchesPaperSection7H) {
+  // §VII-H: 10 ECC + 31 CRC + ~2 bits amortised PLT = 43 bits per line;
+  // two PLTs in ~256 KB SRAM for the 64 MB cache.
+  SudokuScheme z = sudoku_z(512);
+  EXPECT_EQ(LineCodec::kCrcBits, 31u);
+  EXPECT_EQ(z.controller().codec().ecc_bits(), 10u);
+  EXPECT_NEAR(parity_share(z), 2.16, 0.01);  // paper rounds to 2
+  EXPECT_NEAR(z.overhead_bits_per_line(), 43.2, 0.1);
+  SudokuConfig paper;  // 64 MB of 64 B lines, 512-line groups
+  paper.level = SudokuLevel::kZ;
+  const SudokuController cache(paper);
+  EXPECT_NEAR(static_cast<double>(cache.plt_storage_bits()) / 8.0 / 1024.0, 276.5,
+              1.0);  // ~2x 138 KB
+}
+
+TEST(Storage, SudokuBeatsEcc6ByThirtyPercent) {
+  const SudokuScheme z = sudoku_z(512);
+  const EccKCache e6(16, 6);
+  EXPECT_DOUBLE_EQ(e6.overhead_bits_per_line(), 60.0);
+  const double saving = 1.0 - z.overhead_bits_per_line() / e6.overhead_bits_per_line();
+  EXPECT_GT(saving, 0.25);  // paper: ~30% less storage
+  EXPECT_LT(saving, 0.33);
+}
+
+TEST(Storage, HiEccIsCheapestButWeakest) {
+  const HiEccCache hi(16);
+  EXPECT_NEAR(hi.overhead_bits_per_line(), 5.25, 0.01);  // 0.9% overhead claim
+  EXPECT_NEAR(hi.overhead_bits_per_line() / 512.0, 0.0103, 0.001);
+}
+
+TEST(Storage, CppcGlobalParityAmortizesToNothing) {
+  const CppcCache cppc(1u << 20);
+  EXPECT_LT(parity_share(cppc), 0.001);
+  EXPECT_NEAR(cppc.overhead_bits_per_line(), 41.0, 0.01);
+}
+
+TEST(Storage, Raid6CostsTwoParityLinesPerGroup) {
+  const Raid6Cache raid6(512, 512);
+  EXPECT_NEAR(parity_share(raid6), 2.16, 0.01);
+  EXPECT_NEAR(raid6.overhead_bits_per_line(), 43.16, 0.01);  // same budget as Z
+}
+
+TEST(Storage, SmallerGroupsCostMoreParity) {
+  EXPECT_NEAR(parity_share(sudoku_z(128)) / parity_share(sudoku_z(512)), 4.0, 1e-9);
+}
+
+TEST(Storage, InnerEccStrengthAddsTenBitsPerStep) {
+  SudokuScheme t1 = sudoku_z(512, 1);
+  SudokuScheme t2 = sudoku_z(512, 2);
+  EXPECT_EQ(t2.controller().codec().ecc_bits() - t1.controller().codec().ecc_bits(), 10u);
+  // ECC-2 SuDoku still cheaper than ECC-6 per line.
+  EXPECT_LT(t2.overhead_bits_per_line(), 60.0);
 }
 
 // ---------- generic MC runner ----------

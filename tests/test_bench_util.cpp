@@ -503,11 +503,12 @@ TEST(BenchRun, MetricsKeyPresentIffARegistryWasMerged) {
   }
   {
     bench::Run run(a.argc(), a.argv.data());
+    reliability::McConfig group = tiny_mc();
+    group.cache.num_lines = 16;
     RareEventConfig rare;
-    rare.base = tiny_mc();
-    rare.base.cache.num_lines = 16;
+    rare.base = reliability::kernel_config(group);
     rare.trials = 128;
-    run.rare(rare, "rare_only");
+    run.rare([&group] { return reliability::make_scheme(group); }, rare, "rare_only");
     run.finish("rare_only", JsonObject{}, JsonObject{});
   }
   {

@@ -239,23 +239,24 @@ McResult small_real_result() {
 TEST(CheckpointCodec, McResultRoundTripsBitExactly) {
   const McResult r = small_real_result();
   EXPECT_GT(r.faults_injected, 0u);
-  const std::string payload = encode_mc_result(r);
-  const auto back = decode_mc_result(payload);
+  const std::string payload = encode_payload<McResult>(r);
+  const auto back = decode_payload<McResult>(payload);
   ASSERT_TRUE(back.has_value());
   // Bit-exactness witnessed through the canonical serialization, which
   // covers every counter and the full metrics registry.
-  EXPECT_EQ(encode_mc_result(*back), payload);
+  EXPECT_EQ(encode_payload<McResult>(*back), payload);
 }
 
 TEST(CheckpointCodec, RejectsTornAndAlienPayloads) {
-  const std::string payload = encode_mc_result(small_real_result());
-  EXPECT_FALSE(decode_mc_result("").has_value());
-  EXPECT_FALSE(decode_mc_result("not json").has_value());
-  EXPECT_FALSE(decode_mc_result(payload.substr(0, payload.size() / 2)).has_value());
-  EXPECT_FALSE(decode_mc_result("{\"v\":999}").has_value());
-  EXPECT_FALSE(decode_mc_result("{\"v\":1,\"intervals\":5}").has_value());
+  const std::string payload = encode_payload<McResult>(small_real_result());
+  EXPECT_FALSE(decode_payload<McResult>("").has_value());
+  EXPECT_FALSE(decode_payload<McResult>("not json").has_value());
+  EXPECT_FALSE(
+      decode_payload<McResult>(payload.substr(0, payload.size() / 2)).has_value());
+  EXPECT_FALSE(decode_payload<McResult>("{\"v\":999}").has_value());
+  EXPECT_FALSE(decode_payload<McResult>("{\"v\":1,\"intervals\":5}").has_value());
   // Baseline decoder must not accept an MC payload (missing fields).
-  EXPECT_FALSE(decode_baseline_mc_result(payload).has_value());
+  EXPECT_FALSE(decode_payload<baselines::BaselineMcResult>(payload).has_value());
 }
 
 // ---- kill-and-resume determinism ---------------------------------------
@@ -281,7 +282,7 @@ using CheckpointResume = ShutdownGuard;
 
 TEST_F(CheckpointResume, KillAfterKShardsThenResumeIsBitIdentical) {
   const auto cfg = resume_config();
-  const std::string reference = encode_mc_result(
+  const std::string reference = encode_payload<McResult>(
       run_montecarlo_parallel(cfg, {.threads = 1, .chunk = 8}));
 
   for (const unsigned threads : {1u, 8u}) {
@@ -316,7 +317,7 @@ TEST_F(CheckpointResume, KillAfterKShardsThenResumeIsBitIdentical) {
       ropts.checkpoint = &store;
       ropts.report = &resumed;
       const auto r = run_montecarlo_parallel(cfg, ropts);
-      EXPECT_EQ(encode_mc_result(r), reference)
+      EXPECT_EQ(encode_payload<McResult>(r), reference)
           << "K=" << K << " threads=" << threads;
       EXPECT_GE(resumed.shards_resumed, K);
       EXPECT_FALSE(resumed.interrupted);
@@ -327,7 +328,7 @@ TEST_F(CheckpointResume, KillAfterKShardsThenResumeIsBitIdentical) {
 
 TEST_F(CheckpointResume, MidShardKillFromBackgroundThreadIsResumable) {
   const auto cfg = resume_config();
-  const std::string reference = encode_mc_result(
+  const std::string reference = encode_payload<McResult>(
       run_montecarlo_parallel(cfg, {.threads = 1, .chunk = 8}));
 
   const auto root = fresh_dir("resume_midshard");
@@ -351,7 +352,7 @@ TEST_F(CheckpointResume, MidShardKillFromBackgroundThreadIsResumable) {
   ropts.chunk = 8;
   ropts.checkpoint = &store;
   const auto r = run_montecarlo_parallel(cfg, ropts);
-  EXPECT_EQ(encode_mc_result(r), reference);
+  EXPECT_EQ(encode_payload<McResult>(r), reference);
   std::filesystem::remove_all(root);
 }
 
@@ -376,7 +377,7 @@ TEST_F(CheckpointResume, ConfigChangeColdStartsInsteadOfReplaying) {
 
 TEST_F(CheckpointResume, CorruptShardFileIsRecomputedNotFatal) {
   const auto cfg = resume_config();
-  const std::string reference = encode_mc_result(
+  const std::string reference = encode_payload<McResult>(
       run_montecarlo_parallel(cfg, {.threads = 1, .chunk = 8}));
 
   const auto root = fresh_dir("resume_corrupt");
@@ -402,7 +403,7 @@ TEST_F(CheckpointResume, CorruptShardFileIsRecomputedNotFatal) {
   ExpOptions ropts = opts;
   ropts.report = &report;
   const auto r = run_montecarlo_parallel(cfg, ropts);
-  EXPECT_EQ(encode_mc_result(r), reference);
+  EXPECT_EQ(encode_payload<McResult>(r), reference);
   ASSERT_FALSE(report.errors.empty());
   EXPECT_EQ(report.errors.front().kind, ShardErrorKind::kCheckpointCorrupt);
   EXPECT_FALSE(report.degraded());  // recomputed, nothing lost

@@ -262,19 +262,6 @@ TEST(Controller, SudokuZFailsOnFullFourCycle) {
   EXPECT_EQ(stats.due_lines, 4u);
 }
 
-TEST(Controller, ScrubStatsAccumulate) {
-  ScrubStats a, b;
-  a.ecc1_corrections = 3;
-  a.due_lines = 1;
-  a.due_line_ids = {7};
-  b.ecc1_corrections = 2;
-  b.sdr_repairs = 4;
-  a += b;
-  EXPECT_EQ(a.ecc1_corrections, 5u);
-  EXPECT_EQ(a.sdr_repairs, 4u);
-  EXPECT_EQ(a.due_line_ids.size(), 1u);
-}
-
 TEST(Controller, PltStorageMatchesPaperBudget) {
   // §VII-H: two PLTs, each 128 KB for a 64 MB cache with 512-line groups.
   // At full width (553 bits per parity line) each PLT holds 2048 lines.

@@ -219,9 +219,9 @@ TEST(FleetRun, TwoContendingWorkersMergeBitIdentically) {
   for (auto& t : workers) t.join();
 
   // Every worker merges the complete plan, bit-identical to the reference.
-  const std::string ref_bytes = encode_mc_result(reference);
-  EXPECT_EQ(encode_mc_result(results[0]), ref_bytes);
-  EXPECT_EQ(encode_mc_result(results[1]), ref_bytes);
+  const std::string ref_bytes = encode_payload<McResult>(reference);
+  EXPECT_EQ(encode_payload<McResult>(results[0]), ref_bytes);
+  EXPECT_EQ(encode_payload<McResult>(results[1]), ref_bytes);
 
   // The shards were actually split: with contention, at least one worker
   // adopted a sibling's result (both saw the same 12-shard plan).
@@ -251,7 +251,7 @@ TEST(FleetRun, SecondWorkerAfterTheFactAdoptsEverything) {
   ShardRunReport report;
   opts.report = &report;
   const McResult second = run_montecarlo_parallel(cfg, opts);
-  EXPECT_EQ(encode_mc_result(second), encode_mc_result(first));
+  EXPECT_EQ(encode_payload<McResult>(second), encode_payload<McResult>(first));
   EXPECT_EQ(report.shards_foreign, report.shards_total);
   std::filesystem::remove_all(dir);
 }

@@ -90,6 +90,17 @@ void expect_pin(const Pin& want, const Pin& got) {
 
 enum class Mode { kIid, kFixedCount, kWriteErrors, kScenario };
 
+// reliability::run_montecarlo's steps with a fixed fault count, which is a
+// kernel input (BaselineMcConfig::fixed_fault_count).
+reliability::McResult run_fixed_count(const reliability::McConfig& cfg,
+                                      std::int64_t count) {
+  const auto scheme = reliability::make_scheme(cfg);
+  baselines::BaselineMcConfig kernel = reliability::kernel_config(cfg);
+  kernel.fixed_fault_count = count;
+  const Rng rng = baselines::format_for_run(*scheme, kernel);
+  return baselines::run_mc<reliability::McResult>(*scheme, rng, kernel, {});
+}
+
 Pin run_sudoku(const char* name, SudokuLevel level, Mode mode) {
   reliability::McConfig cfg;
   cfg.cache.num_lines = kLines;
@@ -103,7 +114,6 @@ Pin run_sudoku(const char* name, SudokuLevel level, Mode mode) {
     case Mode::kIid:
       break;
     case Mode::kFixedCount:
-      cfg.fixed_fault_count = 300;
       cfg.per_trial_seed_streams = true;
       cfg.first_trial = 5;
       break;
@@ -120,10 +130,12 @@ Pin run_sudoku(const char* name, SudokuLevel level, Mode mode) {
       cfg.max_intervals = 60;
       break;
   }
-  const auto r = reliability::run_montecarlo(cfg);
+  const auto r = mode == Mode::kFixedCount ? run_fixed_count(cfg, 300)
+                                            : reliability::run_montecarlo(cfg);
   return {name, r.intervals, r.faults_injected, r.ecc1_corrections, r.raid4_repairs,
           r.sdr_repairs, r.hash2_invocations, r.groups_repaired, r.due_lines,
-          r.sdc_lines, r.failure_intervals, exp::fnv1a64(exp::encode_mc_result(r))};
+          r.sdc_lines, r.failure_intervals,
+          exp::fnv1a64(exp::encode_payload<reliability::McResult>(r))};
 }
 
 Pin run_baseline(const char* name, baselines::CacheScheme& scheme, double ber,
@@ -143,7 +155,7 @@ Pin run_baseline(const char* name, baselines::CacheScheme& scheme, double ber,
   const auto r = baselines::run_baseline_mc(scheme, cfg);
   return {name, r.intervals, r.faults_injected, r.corrected, 0, 0, 0, 0, r.due_units,
           r.sdc_units, r.failure_intervals,
-          exp::fnv1a64(exp::encode_baseline_mc_result(r))};
+          exp::fnv1a64(exp::encode_payload<baselines::BaselineMcResult>(r))};
 }
 
 constexpr struct {

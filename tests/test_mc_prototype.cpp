@@ -1,6 +1,7 @@
-// One formatted image per experiment: the Monte-Carlo front-ends format a
-// prototype scheme once, and every shard runs on a clone of it with the
-// prototype's array as a shared, read-only golden snapshot.
+// One formatted image per experiment: the engine adapter formats a
+// prototype scheme once (SuDoku's from reliability::make_scheme), and every
+// shard runs on a clone of it (baselines::run_mc) with the prototype's
+// array as a shared, read-only golden snapshot.
 //
 // These tests check that the sharing changes nothing a caller can see:
 //   * every scheme and fault mode gives byte-identical results and metrics
@@ -17,6 +18,7 @@
 #include <ostream>
 #include <string>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include "baselines/cppc_cache.h"
@@ -88,9 +90,9 @@ TEST_P(SudokuPrototype, ResultsAreByteIdenticalAcrossShardingAndSerial) {
 
   ASSERT_EQ(one.intervals, kTrials);
   EXPECT_GT(one.faults_injected, 0u);
-  const std::string want = exp::encode_mc_result(one);
-  EXPECT_EQ(exp::encode_mc_result(many), want);
-  EXPECT_EQ(exp::encode_mc_result(alone), want);
+  const std::string want = exp::encode_payload<reliability::McResult>(one);
+  EXPECT_EQ(exp::encode_payload<reliability::McResult>(many), want);
+  EXPECT_EQ(exp::encode_payload<reliability::McResult>(alone), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -151,9 +153,9 @@ TEST_P(BaselinePrototype, ResultsAreByteIdenticalAcrossShardingAndSerial) {
 
   ASSERT_EQ(one.intervals, kTrials);
   EXPECT_GT(one.faults_injected, 0u);
-  const std::string want = exp::encode_baseline_mc_result(one);
-  EXPECT_EQ(exp::encode_baseline_mc_result(many), want);
-  EXPECT_EQ(exp::encode_baseline_mc_result(alone), want);
+  const std::string want = exp::encode_payload<baselines::BaselineMcResult>(one);
+  EXPECT_EQ(exp::encode_payload<baselines::BaselineMcResult>(many), want);
+  EXPECT_EQ(exp::encode_payload<baselines::BaselineMcResult>(alone), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, BaselinePrototype, ::testing::ValuesIn(baseline_cases()),
@@ -189,28 +191,41 @@ void run_concurrent_shards(const std::function<void(std::uint64_t, std::uint64_t
 TEST(McPrototype, ConcurrentSudokuShardsLeaveThePrototypeUntouched) {
   reliability::McConfig cfg = sudoku_config({"Z_iid", SudokuLevel::kZ, Mode::kIid});
   cfg.per_trial_seed_streams = true;
-  reliability::McPrototype prototype = reliability::format_prototype(cfg);
+  const auto prototype = reliability::make_scheme(cfg);
+  const baselines::BaselineMcConfig kernel = reliability::kernel_config(cfg);
+  const Rng rng = baselines::format_for_run(*prototype, kernel);
   obs::MetricsRegistry attached;
-  prototype.scheme.attach_metrics(&attached);
+  prototype->attach_metrics(&attached);
   const std::string attached_before = exp::metrics_to_json(attached).str();
-  const SttramArray image = prototype.scheme.array();
+  const SttramArray image = prototype->array();
 
   std::vector<reliability::McResult> results(kShards);
   run_concurrent_shards([&](std::uint64_t first, std::uint64_t count) {
-    reliability::McConfig shard = cfg;
+    baselines::BaselineMcConfig shard = kernel;
     shard.first_trial = first;
     shard.max_intervals = count;
-    results[first / count] = reliability::run_montecarlo(shard, prototype);
+    results[first / count] = baselines::run_mc<reliability::McResult>(*prototype, rng, shard);
   });
 
-  expect_same_image(prototype.scheme.array(), image);
-  EXPECT_TRUE(prototype.scheme.consistent());
+  expect_same_image(prototype->array(), image);
+  EXPECT_TRUE(prototype->consistent());
   EXPECT_EQ(exp::metrics_to_json(attached).str(), attached_before);
   reliability::McResult merged;
   for (const auto& r : results) merged += r;
   EXPECT_GT(merged.raid4_repairs, 0u);
-  EXPECT_EQ(exp::encode_mc_result(merged),
-            exp::encode_mc_result(reliability::run_montecarlo(cfg)));
+  EXPECT_EQ(exp::encode_payload<reliability::McResult>(merged),
+            exp::encode_payload<reliability::McResult>(reliability::run_montecarlo(cfg)));
+}
+
+// McResult's repair split comes from a SudokuScheme clone; run over any
+// other scheme, run_mc<McResult> throws instead of misreading it.
+TEST(McPrototype, SudokuResultRejectsANonSudokuScheme) {
+  baselines::EccKCache ecc1(64, 1);
+  baselines::BaselineMcConfig cfg;
+  cfg.max_intervals = 2;
+  const Rng rng = baselines::format_for_run(ecc1, cfg);
+  EXPECT_THROW((void)baselines::run_mc<reliability::McResult>(ecc1, rng, cfg),
+               std::bad_cast);
 }
 
 TEST(McPrototype, ConcurrentBaselineShardsLeaveThePrototypeUntouched) {
@@ -237,7 +252,8 @@ TEST(McPrototype, ConcurrentBaselineShardsLeaveThePrototypeUntouched) {
       baselines::BaselineMcConfig shard = cfg;
       shard.first_trial = first;
       shard.max_intervals = count;
-      results[first / count] = baselines::run_baseline_mc(*prototype, rng, shard);
+      results[first / count] =
+          baselines::run_mc<baselines::BaselineMcResult>(*prototype, rng, shard);
     });
 
     expect_same_image(prototype->array(), image);
@@ -245,8 +261,9 @@ TEST(McPrototype, ConcurrentBaselineShardsLeaveThePrototypeUntouched) {
     baselines::BaselineMcResult merged;
     for (const auto& r : results) merged += r;
     EXPECT_GT(merged.corrected, 0u);
-    EXPECT_EQ(exp::encode_baseline_mc_result(merged),
-              exp::encode_baseline_mc_result(baselines::run_baseline_mc(*c.factory(), cfg)));
+    const auto serial = baselines::run_baseline_mc(*c.factory(), cfg);
+    EXPECT_EQ(exp::encode_payload<baselines::BaselineMcResult>(merged),
+              exp::encode_payload<baselines::BaselineMcResult>(serial));
   }
 }
 

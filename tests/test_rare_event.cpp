@@ -1,13 +1,18 @@
 // Importance-sampled rare-event estimator (src/exp/rare_event.h): the
 // likelihood-ratio math against closed forms, the stratified estimator
-// against unweighted MC within joint confidence intervals, determinism,
-// and the effective-sample-size win that justifies the machinery.
+// against unweighted MC within joint confidence intervals and, on the real
+// ECC-k decoder, against its exact closed form; determinism, and the
+// effective-sample-size win that justifies the machinery.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <memory>
 
+#include "baselines/ecck_cache.h"
 #include "common/prob.h"
+#include "exp/checkpoint.h"
 #include "exp/mc_experiments.h"
 #include "exp/rare_event.h"
 #include "reliability/analytical.h"
@@ -169,17 +174,26 @@ TEST(RareEventMath, DeterministicForFixedSeed) {
 
 // ---- full-controller estimator -----------------------------------------
 
-// Same system measured both ways at a BER where unweighted MC still sees
-// events: the estimates must agree within the joint 95% interval. This is
-// ISSUE 8's cross-validation acceptance criterion in test form.
-TEST(RareEventEngine, AgreesWithUnweightedMcWithinJointCi) {
+// SuDoku-X over one 64-line group: the McConfig plain MC runs, and the
+// scheme factory the stratified estimator runs.
+McConfig sudoku_x_group(double ber, std::uint64_t seed) {
   McConfig cfg;
   cfg.cache.num_lines = 64;
   cfg.cache.group_size = 64;
-  cfg.cache.ber = 1e-4;
+  cfg.cache.ber = ber;
   cfg.level = SudokuLevel::kX;
+  cfg.seed = seed;
+  return cfg;
+}
+SchemeFactory sudoku_factory(const McConfig& cfg) {
+  return [cfg] { return reliability::make_scheme(cfg); };
+}
+
+// Same system measured both ways at a BER where unweighted MC still sees
+// events: the estimates must agree within the joint 95% interval.
+TEST(RareEventEngine, AgreesWithUnweightedMcWithinJointCi) {
+  McConfig cfg = sudoku_x_group(1e-4, 424);
   cfg.max_intervals = 8000;
-  cfg.seed = 424;
 
   const auto unweighted = run_montecarlo_parallel(cfg, {});
   const double p_mc = unweighted.p_failure_per_interval();
@@ -187,10 +201,10 @@ TEST(RareEventEngine, AgreesWithUnweightedMcWithinJointCi) {
       p_mc * (1.0 - p_mc) / static_cast<double>(unweighted.intervals);
 
   RareEventConfig recfg;
-  recfg.base = cfg;
+  recfg.base = reliability::kernel_config(cfg);
   recfg.trials = 8000;
   recfg.min_count = 4;  // SuDoku-X: a DUE needs two 2-fault lines
-  const auto est = run_rare_event(recfg);
+  const auto est = run_rare_event(sudoku_factory(cfg), recfg);
 
   const double joint = 1.96 * std::sqrt(est.var_unit + var_mc);
   EXPECT_NEAR(est.p_unit, p_mc, joint + est.excluded_mass);
@@ -205,32 +219,25 @@ TEST(RareEventEngine, AgreesWithUnweightedMcWithinJointCi) {
 // acceptance bar: effective sample size at least 100x the same number of
 // unweighted trials.
 TEST(RareEventEngine, OperatingPointEssBeatsUnweightedBy100x) {
+  const McConfig cfg = sudoku_x_group(5.3e-6, 41);
   RareEventConfig recfg;
-  recfg.base.cache.num_lines = 64;
-  recfg.base.cache.group_size = 64;
-  recfg.base.cache.ber = 5.3e-6;
-  recfg.base.level = SudokuLevel::kX;
-  recfg.base.seed = 41;
+  recfg.base = reliability::kernel_config(cfg);
   recfg.trials = 8000;
   recfg.min_count = 4;
 
-  const auto est = run_rare_event(recfg);
+  const auto est = run_rare_event(sudoku_factory(cfg), recfg);
   EXPECT_GE(est.ess, 100.0 * static_cast<double>(est.trials));
   // And the estimate itself must sit on the analytical value — wide bound
   // (3 sigma + truncation) so only genuine breakage trips it.
-  const auto cp = recfg.base.cache;
-  const double analytic = reliability::sudoku_x_due(cp).p_interval();
+  const double analytic = reliability::sudoku_x_due(cfg.cache).p_interval();
   EXPECT_NEAR(est.p_unit, analytic,
               3.0 * std::sqrt(est.var_unit) + est.excluded_mass + 0.5 * analytic);
 }
 
 TEST(RareEventEngine, ThreadCountDoesNotChangeTheEstimate) {
+  const McConfig cfg = sudoku_x_group(1e-4, 99);
   RareEventConfig recfg;
-  recfg.base.cache.num_lines = 64;
-  recfg.base.cache.group_size = 64;
-  recfg.base.cache.ber = 1e-4;
-  recfg.base.level = SudokuLevel::kX;
-  recfg.base.seed = 99;
+  recfg.base = reliability::kernel_config(cfg);
   recfg.trials = 2000;
   recfg.min_count = 4;
 
@@ -238,20 +245,99 @@ TEST(RareEventEngine, ThreadCountDoesNotChangeTheEstimate) {
   one.threads = 1;
   ExpOptions three;
   three.threads = 3;
-  const auto a = run_rare_event(recfg, one);
-  const auto b = run_rare_event(recfg, three);
+  const auto a = run_rare_event(sudoku_factory(cfg), recfg, one);
+  const auto b = run_rare_event(sudoku_factory(cfg), recfg, three);
   EXPECT_EQ(a.p_unit, b.p_unit);
   EXPECT_EQ(a.var_unit, b.var_unit);
   EXPECT_EQ(a.trials, b.trials);
 }
 
-TEST(RareEventEngine, RejectsWriteErrorMode) {
+// The sampler on the real ECC-k decoder (BCH over GF(2^10)) over one
+// 64-line group. A line with k or fewer faults is always corrected, and one
+// with k + 1 or more is always a DUE or an SDC (a decoder answer within k
+// of the stored word cannot be the written codeword), so the group's
+// per-interval failure probability is exactly
+//   1 - (1 - P[Bin(512 + 10k, ber) >= k + 1])^64.
+// ECC-2 runs at a BER where the k + 1 stratum carries most of that
+// probability, so a min_count past k + 1 misses it by several CIs. ECC-4's
+// k + 1 stratum (all five faults in one of 64 lines, ~6e-8) cannot be
+// resolved at any test budget, so ECC-4 runs where the higher strata carry
+// a measurable probability. A 16-trial floor keeps ECC-4's ~100 strata
+// cheap.
+TEST(RareEventEngine, EccKMatchesItsExactClosedFormWithinCi) {
+  struct Case {
+    int k;
+    double ber;
+    std::uint64_t trials;
+  };
+  constexpr std::uint64_t kSeed = 7;
+  for (const Case c : {Case{2, 1e-5, 20000}, Case{4, 1e-3, 3000}}) {
+    RareEventConfig recfg;
+    recfg.base.ber = c.ber;
+    recfg.base.seed = kSeed;
+    recfg.trials = c.trials;
+    recfg.min_count = static_cast<std::uint64_t>(c.k) + 1;
+    recfg.min_stratum_trials = 16;
+    const int k = c.k;
+    const auto est = run_rare_event(
+        [k] { return std::make_unique<baselines::EccKCache>(64, k); }, recfg);
+
+    const double p_line = std::exp(log_binom_tail_ge(512.0 + 10.0 * k, k + 1.0, c.ber));
+    const double exact = 1.0 - std::pow(1.0 - p_line, 64.0);
+    EXPECT_NEAR(est.p_unit, exact, est.ci95_unit() + est.excluded_mass)
+        << "ECC-" << k << " at BER " << c.ber << ", seed " << kSeed;
+  }
+}
+
+// Stratum checkpoints are keyed by the prototype scheme, not only by the
+// kernel config: rerunning the same strata replays every shard, while a
+// SuDoku of another group size, level, inner code or SDR mismatch cap
+// under the same scope and seed replays none.
+TEST(RareEventEngine, StratumCheckpointsAreKeyedByTheScheme) {
+  const auto root = std::filesystem::temp_directory_path() / "sudoku_rare_ckpt_test";
+  std::filesystem::remove_all(root);
+  CheckpointStore store(root, /*resume=*/true);
+  const McConfig cfg = sudoku_x_group(1e-4, 5);
   RareEventConfig recfg;
-  recfg.base.cache.num_lines = 64;
-  recfg.base.cache.group_size = 64;
-  recfg.base.host_writes_per_interval = 10;
-  recfg.base.wer = 1e-6;
-  EXPECT_THROW(run_rare_event(recfg), std::runtime_error);
+  recfg.base = reliability::kernel_config(cfg);
+  recfg.trials = 512;
+  recfg.min_count = 4;
+  ExpOptions opts;
+  opts.threads = 2;
+  opts.checkpoint = &store;
+  opts.checkpoint_scope = "rare_key";
+  const auto first = run_rare_event(sudoku_factory(cfg), recfg, opts);
+
+  ShardRunReport again;
+  opts.report = &again;
+  const auto second = run_rare_event(sudoku_factory(cfg), recfg, opts);
+  EXPECT_GT(again.shards_total, 0u);
+  EXPECT_EQ(again.shards_resumed, again.shards_total);
+  EXPECT_EQ(second.p_unit, first.p_unit);
+
+  McConfig group32 = cfg;
+  group32.cache.group_size = 32;
+  McConfig level_y = cfg;
+  level_y.level = SudokuLevel::kY;
+  McConfig inner2 = cfg;
+  inner2.cache.inner_ecc_t = 2;
+  const SchemeFactory sdr_cap4 = [] {
+    SudokuConfig ctrl;
+    ctrl.geo.num_lines = 64;
+    ctrl.geo.group_size = 64;
+    ctrl.level = SudokuLevel::kX;
+    ctrl.max_sdr_mismatches = 4;
+    return std::make_unique<baselines::SudokuScheme>(ctrl);
+  };
+  for (const SchemeFactory& other : {sudoku_factory(group32), sudoku_factory(level_y),
+                                     sudoku_factory(inner2), sdr_cap4}) {
+    ShardRunReport report;
+    opts.report = &report;
+    (void)run_rare_event(other, recfg, opts);
+    EXPECT_GT(report.shards_total, 0u);
+    EXPECT_EQ(report.shards_resumed, 0u);
+  }
+  std::filesystem::remove_all(root);
 }
 
 // ---- lifting -----------------------------------------------------------
