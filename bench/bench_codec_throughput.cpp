@@ -1,18 +1,17 @@
 // Microbenchmarks of the coding substrate, tracking the word-at-a-time
 // and batch kernel speedups (docs/perf.md) as an artifact: bit-serial vs
 // byte-table vs slicing-by-8 vs PCLMUL CRC-31, reference vs parity-mask
-// vs bit-sliced Hamming syndrome, and reference vs per-word Horner vs
-// bit-sliced batch BCH syndromes for ECC-2..6 plus the Hi-ECC geometry.
+// vs bit-sliced Hamming syndrome, and, for ECC-2..6 plus the Hi-ECC
+// geometry, the bit-serial BCH syndromes vs the table and CLMUL remainder
+// kernels that encode, check and decode run on, plus the Hi-ECC locate
+// (Berlekamp–Massey and Chien search) at 3 and 6 errors.
 // Contextual for §II-D's point that multi-bit ECC decoders are far more
 // expensive than ECC-1 + CRC: the BCH decode cost grows with k while the
 // SuDoku fast path stays flat.
 //
-// Batch rows stream kStreamLines codewords through BitPlanes batches of
-// 64 — including a partial final batch, whose payload is charged at its
-// *actual* width (bench::batched_items), not the nominal 64.
-//
-// Runs through the shared bench::Run harness (bench/out/codec_throughput.json)
-// so the kernel throughput is diffable across PRs like every other bench.
+// The Hamming batch row streams kStreamLines codewords through BitPlanes
+// batches of 64 — including a partial final batch, whose payload is
+// charged at its *actual* width (bench::batched_items), not the nominal 64.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -193,67 +192,57 @@ int main(int argc, char** argv) {
                     batch.mb_per_s / ref.mb_per_s, batch.mb_per_s / fast.mb_per_s});
   }
 
-  // ---- BCH ECC-t syndromes (t = 2..6, the baseline strengths) ----
-  for (const int t : {2, 3, 6}) {
-    const Bch bch(10, t, 512);
+  // ---- BCH ECC-t remainder (t = 2..6 over 512 bits, Hi-ECC's ECC-6 over
+  // 1 KB at m = 14) ----
+  // The CLMUL row is emitted on every host (stable artifact structure);
+  // without pclmulqdq it records zero throughput.
+  struct BchCode {
+    std::string name;
+    int m;
+    int t;
+    std::size_t k;
+    std::uint64_t ref_div;  // the bit-serial oracle's iteration divisor
+  };
+  const BchCode codes[] = {{"bch_t2", 10, 2, 512, 8},
+                           {"bch_t3", 10, 3, 512, 8},
+                           {"bch_t6", 10, 6, 512, 8},
+                           {"bch_hiecc_m14_t6", 14, 6, 8192, 32}};
+  for (const auto& c : codes) {
+    const Bch bch(c.m, c.t, c.k);
     const std::size_t n = bch.codeword_bits();
     BitVec cw = random_bits(n, rng);
-    for (std::size_t i = 512; i < n; ++i) cw.reset(i);
     bch.encode(cw);
-    const std::string code = "bch_t" + std::to_string(t);
-    volatile bool bsink = false;
-    const Measurement ref = time_kernel(n, base_iters / 8, [&] {
-      const auto s = bch.syndromes_reference(cw);
-      bsink = s[0] == 0;
+    volatile std::uint64_t sink = 0;
+    const Measurement ref = time_kernel(n, base_iters / c.ref_div, [&] {
+      sink = bch.syndromes_reference(cw)[0];
     });
-    const Measurement fast =
-        time_kernel(n, base_iters, [&] { bsink = bch.syndromes_zero(cw); });
-    (void)bsink;
-    rows.push_back({code, "syndromes_reference", ref, 1.0});
-    rows.push_back({code, "syndromes_word_horner", fast, fast.mb_per_s / ref.mb_per_s});
-    // The old clean-line check decoded a copy; the new one is the
-    // allocation-free zero-syndrome fast exit (same `fast` kernel above).
-    BitVec scratch(n);
-    const Measurement old_clean = time_kernel(n, base_iters / 8, [&] {
-      scratch = cw;
-      bsink = bch.decode(scratch).status == Bch::DecodeStatus::kClean;
-    });
-    rows.push_back({code, "clean_check_via_decode", old_clean,
-                    old_clean.mb_per_s / ref.mb_per_s});
+    const Measurement table =
+        time_kernel(n, base_iters / 4, [&] { sink = bch.remainder_table(cw)[0]; });
+    Measurement clmul;
+    if (Bch::clmul_supported()) {
+      clmul = time_kernel(n, base_iters, [&] { sink = bch.remainder_clmul(cw)[0]; });
+    }
+    rows.push_back({c.name, "syndromes_reference", ref, 1.0});
+    rows.push_back({c.name, "remainder_table", table, table.mb_per_s / ref.mb_per_s});
+    rows.push_back({c.name, "remainder_clmul", clmul, clmul.mb_per_s / ref.mb_per_s});
+    (void)sink;
 
-    const auto stream = random_stream(kStreamLines, n, rng);
-    const Measurement batch = time_batches(
-        stream, n, base_iters / 64,
-        [&](const BitPlanes& planes) { return bch.batch_syndromes_zero(planes); });
-    rows.push_back({code, "batch_sliced", batch, batch.mb_per_s / ref.mb_per_s,
-                    batch.mb_per_s / fast.mb_per_s});
-  }
-
-  // ---- Hi-ECC geometry: ECC-6 over 1 KB (m = 14) ----
-  {
-    const Bch bch(14, 6, 8192);
-    const std::size_t n = bch.codeword_bits();
-    BitVec cw = random_bits(n, rng);
-    for (std::size_t i = 8192; i < n; ++i) cw.reset(i);
-    bch.encode(cw);
-    volatile bool bsink = false;
-    const Measurement ref = time_kernel(n, base_iters / 32, [&] {
-      const auto s = bch.syndromes_reference(cw);
-      bsink = s[0] == 0;
-    });
-    const Measurement fast =
-        time_kernel(n, base_iters / 4, [&] { bsink = bch.syndromes_zero(cw); });
-    (void)bsink;
-    rows.push_back({"bch_hiecc_m14_t6", "syndromes_reference", ref, 1.0});
-    rows.push_back({"bch_hiecc_m14_t6", "syndromes_word_horner", fast,
-                    fast.mb_per_s / ref.mb_per_s});
-
-    const auto stream = random_stream(kStreamLines, n, rng);
-    const Measurement batch = time_batches(
-        stream, n, base_iters / 256,
-        [&](const BitPlanes& planes) { return bch.batch_syndromes_zero(planes); });
-    rows.push_back({"bch_hiecc_m14_t6", "batch_sliced", batch,
-                    batch.mb_per_s / ref.mb_per_s, batch.mb_per_s / fast.mb_per_s});
+    if (c.m != 14) continue;
+    // Locate: Berlekamp–Massey plus the Chien search, from the syndromes
+    // of a word with 3 and with 6 errors (the flips are undone by copying
+    // the dirty word back before each call).
+    for (const int errors : {3, 6}) {
+      BitVec dirty = cw;
+      for (int e = 0; e < errors; ++e) dirty.flip(rng.next_below(n));
+      const auto s = bch.syndromes(dirty);
+      BitVec scratch = dirty;
+      const Measurement locate = time_kernel(n, base_iters / 64, [&] {
+        scratch = dirty;
+        sink = static_cast<std::uint64_t>(bch.decode_with_syndromes(scratch, s).corrected);
+      });
+      rows.push_back({c.name, "locate_deg" + std::to_string(errors), locate,
+                      locate.mb_per_s / ref.mb_per_s});
+    }
   }
 
   bench::Table table({{"code", "%-28s", "code"},

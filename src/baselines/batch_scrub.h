@@ -1,14 +1,11 @@
 // Shared loops for the per-unit BCH baseline schemes (ECC-k lines, Hi-ECC
-// and region-ECC regions): random formatting and the batched scrub.
+// and region-ECC regions): random formatting and the scrub.
 //
-// Scrub: in the Monte-Carlo runner every scrubbed unit
-// carries at least one injected fault, so there is no clean fast path to
-// exploit — the win is computing all the power-sum syndromes bit-sliced
-// across the batch (the BatchCodec engine, docs/perf.md) and feeding each
-// unit's row into Bch::decode_with_syndromes, which is decode() minus the
-// redundant per-unit syndrome pass. Units are processed in input order
-// and every decode sees exactly the syndromes decode() would compute, so
-// the MC artifacts stay byte-identical to the per-unit code's.
+// Scrub: in the Monte-Carlo runner every scrubbed unit carries at least one
+// injected fault, so there is no clean fast path to exploit. Each unit is
+// read into the caller's scratch codeword and decoded in place —
+// Bch::decode() is one remainder, then Berlekamp–Massey and the roots, all
+// on the stack — in input order, with no buffers of the scrub's own.
 #pragma once
 
 #include <span>
@@ -25,10 +22,8 @@ void format_random_bch(const Bch& bch, SttramArray& array, Rng& rng);
 
 // Scrub `units` of `array` (one codeword per unit) with `bch`:
 // kCorrected units are written back, kUncorrectable ones recorded as DUE.
-// Batches of up to BitPlanes::kMaxLines; below `min_batch` units the
-// per-unit word-Horner path is cheaper and is used instead.
+// `scratch` holds each unit's codeword in turn (resized if needed).
 ScrubReport batch_scrub_bch(const Bch& bch, SttramArray& array,
-                              std::span<const std::uint64_t> units,
-                              std::size_t min_batch);
+                            std::span<const std::uint64_t> units, BitVec& scratch);
 
 }  // namespace sudoku::baselines

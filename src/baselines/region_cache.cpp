@@ -34,10 +34,7 @@ void RegionEccCache::format_random(Rng& rng) {
 }
 
 ScrubReport RegionEccCache::scrub_units(std::span<const std::uint64_t> units) {
-  // Region decode hook, batched: syndromes for up to 64 regions run
-  // bit-sliced, then each dirty region goes through
-  // decode_with_syndromes — identical outcomes to per-region decode().
-  return batch_scrub_bch(bch_, array_, units, /*min_batch=*/12);
+  return batch_scrub_bch(bch_, array_, units, scrub_scratch_);
 }
 
 ReadResult RegionEccCache::read(std::uint64_t line) {

@@ -104,6 +104,7 @@ class RegionEccCache : public LineScheme {
   std::uint32_t lines_per_region_;
   SttramArray array_;  // one "line" per codeword region
   RegionIoStats io_;
+  BitVec scrub_scratch_;  // scrub_units' codeword buffer
 };
 
 }  // namespace sudoku::baselines

@@ -7,10 +7,9 @@
 // p of the L-th staged codeword. In that layout, "XOR bit p of every
 // codeword that has weight w into its accumulator" is a single word XOR —
 // GF(2) syndrome math for 64 lines costs the same instruction count as
-// for one (bit-slicing). The consumers live on the codes themselves
-// (Bch::batch_syndromes / Hamming::batch_syndrome / the clean-mask
-// variants) and on LineCodec::fully_clean_batch; see docs/perf.md for the
-// cost model and the break-even batch size.
+// for one (bit-slicing). The consumers are Hamming::batch_syndromes /
+// batch_syndromes_zero and LineCodec::fully_clean_batch; see docs/perf.md
+// for the cost model and the break-even batch size.
 //
 // Usage:
 //   planes.reset(nbits, count);                  // count <= 64

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace sudoku {
 
@@ -23,11 +26,11 @@ int checked_field_order(int m, int t) {
   if (m < 3 || m > 16) {
     throw std::invalid_argument("Bch: m must be in [3, 16], got " + std::to_string(m));
   }
-  const std::size_t words = static_cast<std::size_t>(t) * static_cast<std::size_t>(m);
-  if (words > Bch::kMaxSyndromeWords) {
+  const std::size_t tm = static_cast<std::size_t>(t) * static_cast<std::size_t>(m);
+  if (tm > Bch::kMaxSyndromeWords) {
     throw std::invalid_argument(
-        "Bch: t·m = " + std::to_string(words) + " exceeds the " +
-        std::to_string(Bch::kMaxSyndromeWords) + "-word syndrome accumulator");
+        "Bch: t·m = " + std::to_string(tm) + " exceeds the " +
+        std::to_string(Bch::kMaxSyndromeWords) + "-bit remainder");
   }
   return m;
 }
@@ -58,6 +61,18 @@ std::vector<std::uint32_t> generator_roots(std::uint32_t order, int t) {
   return roots;
 }
 
+// One LFSR clock of the reflected remainder: the leaving coefficient
+// x^(r-1) sits in bit 0, and `gen` is g(x) - x^r reflected.
+void clock_bit(Bch::Remainder& rem, std::uint64_t bit, const Bch::Remainder& gen) {
+  const bool fold = ((rem[0] ^ bit) & 1u) != 0;
+  rem[0] = (rem[0] >> 1) | (rem[1] << 63);
+  rem[1] >>= 1;
+  if (fold) {
+    rem[0] ^= gen[0];
+    rem[1] ^= gen[1];
+  }
+}
+
 }  // namespace
 
 std::size_t Bch::generator_degree(int m, int t) {
@@ -65,13 +80,15 @@ std::size_t Bch::generator_degree(int m, int t) {
 }
 
 Bch::Bch(int m, int t, std::size_t message_bits)
-    : m_(checked_field_order(m, t)), t_(t), k_(message_bits), field_(m) {
+    : m_(checked_field_order(m, t)), t_(t), k_(message_bits) {
+  auto tab = std::make_shared<Tables>(m_);
+  const GF2m& f = tab->field;
   // Generator = product of distinct minimal polynomials of alpha^1..alpha^2t,
   // i.e. of (x + alpha^j) over the cyclotomic cosets' members j.
-  const std::uint32_t order = field_.order();
+  const std::uint32_t order = f.order();
   std::vector<std::uint32_t> g = {1};  // polynomial "1" over GF(2^m)
   for (const std::uint32_t j : generator_roots(order, t)) {
-    mul_by_linear(g, field_.alpha_pow(j), field_);
+    mul_by_linear(g, f.alpha_pow(j), f);
   }
   r_ = g.size() - 1;
   n_ = k_ + r_;
@@ -86,17 +103,26 @@ Bch::Bch(int m, int t, std::size_t message_bits)
     assert(g[d] == 0 || g[d] == 1);
     if (g[d] != 0) {
       const std::size_t j = r_ - 1 - d;
-      gen_reflected_[j / 64] |= std::uint64_t{1} << (j % 64);
+      tab->gen_reflected[j / 64] |= std::uint64_t{1} << (j % 64);
     }
   }
-  // Byte table: entry v is the remainder after clocking the 8 message bits
-  // of v (bit 0 first) through a zero register. By linearity a byte step
-  // from any state is then (state >> 8) ^ table[(state ^ byte) & 0xFF].
-  enc_table_.resize(256);
+  // Byte table (see byte_step).
   for (std::uint32_t v = 0; v < 256; ++v) {
     Remainder rem{};
-    for (int b = 0; b < 8; ++b) encode_bit(rem, (v >> b) & 1u);
-    enc_table_[v] = rem;
+    for (int b = 0; b < 8; ++b) clock_bit(rem, (v >> b) & 1u, tab->gen_reflected);
+    tab->byte_table[v] = rem;
+  }
+  // x^e mod g (e >= r) in the remainder format: a 1 clocked in, then e - r
+  // zeros.
+  const auto x_pow_mod_g = [&](std::size_t e) {
+    Remainder rem{};
+    clock_bit(rem, 1, tab->gen_reflected);
+    for (std::size_t z = r_; z < e; ++z) clock_bit(rem, 0, tab->gen_reflected);
+    return rem;
+  };
+  for (std::size_t w = 0; w < 4; ++w) {
+    tab->fold[w] = x_pow_mod_g(319 + r_ - 64 * w);
+    tab->finish[w] = x_pow_mod_g(64 * (3 - w) + r_);
   }
 
   // Degree-2 solve matrix. With L(y) = y² + y, the images L(2^k) of the
@@ -106,14 +132,15 @@ Bch::Bch(int m, int t, std::size_t message_bits)
   // XOR of the rows at its set pivot bits, and y the XOR of their
   // preimages.
   std::array<std::uint32_t, 16> rows{};  // indexed by pivot bit; 0 = none
+  auto& quad_solve = tab->quad_solve;
   for (int k = 1; k < m_; ++k) {
     const std::uint32_t e = 1u << k;
-    std::uint32_t v = field_.mul(e, e) ^ e;
+    std::uint32_t v = f.mul(e, e) ^ e;
     std::uint32_t pre = e;
     for (int b = m_ - 1; b >= 0; --b) {
       if (((v >> b) & 1u) && rows[b] != 0) {
         v ^= rows[b];
-        pre ^= quad_solve_[b];
+        pre ^= quad_solve[b];
       }
     }
     assert(v != 0);
@@ -121,113 +148,123 @@ Bch::Bch(int m, int t, std::size_t message_bits)
     for (int b = 0; b < m_; ++b) {
       if ((rows[b] >> pivot) & 1u) {
         rows[b] ^= v;
-        quad_solve_[b] ^= pre;
+        quad_solve[b] ^= pre;
       }
     }
     rows[pivot] = v;
-    quad_solve_[pivot] = pre;
+    quad_solve[pivot] = pre;
   }
 
-  // Word-level syndrome tables: alpha^(j·(63-k)) weights plus the per-word
-  // (alpha^j)^64 and per-tail (alpha^j)^tail Horner multipliers.
-  words_per_cw_ = (n_ + 63) / 64;
-  tail_bits_ = n_ & 63;
-  syn_weights_.resize(static_cast<std::size_t>(2 * t_) * 64);
-  syn_pow64_.resize(2 * t_);
-  syn_powtail_.resize(2 * t_);
-  for (int j = 1; j <= 2 * t_; ++j) {
-    const std::uint64_t uj = static_cast<std::uint64_t>(j);
-    for (unsigned k = 0; k < 64; ++k) {
-      syn_weights_[static_cast<std::size_t>(j - 1) * 64 + k] =
-          field_.alpha_pow(uj * (63 - k));
+  // Difference bit b is the coefficient of x^(r-1-b).
+  tab->odd_weights.resize(r_ * static_cast<std::size_t>(t_));
+  for (std::size_t b = 0; b < r_; ++b) {
+    for (int o = 0; o < t_; ++o) {
+      tab->odd_weights[b * t_ + o] =
+          f.alpha_pow(static_cast<std::uint64_t>(2 * o + 1) * (r_ - 1 - b));
     }
-    syn_pow64_[j - 1] = field_.alpha_pow(uj * 64);
-    syn_powtail_[j - 1] = field_.alpha_pow(uj * tail_bits_);
   }
+  tab_ = std::move(tab);
+  clmul_ = clmul_supported();
 }
 
-void Bch::encode_bit(Remainder& rem, std::uint32_t bit) const {
-  // One LFSR clock: the leaving coefficient x^(r-1) sits in bit 0.
-  const bool fold = ((rem[0] & 1u) ^ bit) != 0;
-  rem[0] = (rem[0] >> 1) | (rem[1] << 63);
-  rem[1] >>= 1;
-  if (fold) {
-    rem[0] ^= gen_reflected_[0];
-    rem[1] ^= gen_reflected_[1];
-  }
-}
-
-void Bch::encode(BitVec& codeword) const {
-  assert(codeword.size() == n_);
-  // Systematic encoding: parity = message(x) · x^r mod g(x), message bit 0
-  // the highest degree. BitVec stores bit i at bit i%64 of word i/64, so
-  // the message already streams lowest-bit-first into the reflected LFSR.
-  Remainder rem{};
-  const auto byte_step = [&](std::uint64_t byte) {
-    const Remainder& e = enc_table_[(rem[0] ^ byte) & 0xFF];
-    rem[0] = ((rem[0] >> 8) | (rem[1] << 56)) ^ e[0];
-    rem[1] = (rem[1] >> 8) ^ e[1];
-  };
+Bch::Remainder Bch::table_from(Remainder rem, const BitVec& codeword,
+                               std::size_t from) const {
+  assert(from % 64 == 0);
+  // BitVec stores bit i at bit i%64 of word i/64, so the message streams
+  // lowest-bit-first into the reflected LFSR, a byte at a time.
+  const auto& table = tab_->byte_table;
   const auto words = codeword.words();
-  std::size_t i = 0;
+  std::size_t i = from;
   for (; i + 64 <= k_; i += 64) {
     std::uint64_t w = words[i / 64];
-    for (int b = 0; b < 8; ++b, w >>= 8) byte_step(w);
+    for (int b = 0; b < 8; ++b, w >>= 8) byte_step(rem, table, w);
   }
   if (i < k_) {
     // Last partial word: whole bytes, then bit-serial up to k_ (the bits
-    // above k_ are the old parity and are not read).
+    // above k_ are the stored parity and are not read).
     std::uint64_t w = words[i / 64];
-    for (; i + 8 <= k_; i += 8, w >>= 8) byte_step(w);
-    for (; i < k_; ++i, w >>= 1) encode_bit(rem, static_cast<std::uint32_t>(w & 1u));
+    for (; i + 8 <= k_; i += 8, w >>= 8) byte_step(rem, table, w);
+    for (; i < k_; ++i, w >>= 1) clock_bit(rem, w & 1u, tab_->gen_reflected);
   }
-  // Parity bit k_+j is remainder bit j, the coefficient of x^(r-1-j).
+  return rem;
+}
+
+Bch::Remainder Bch::remainder_table(const BitVec& codeword) const {
+  assert(codeword.size() == n_);
+  return table_from({}, codeword, 0);
+}
+
+#if !SUDOKU_HAS_PCLMUL
+// Builds without the PCLMUL translation unit (non-x86-64 targets or
+// -DSUDOKU_ENABLE_PCLMUL=OFF): the kernel is never selected, and a direct
+// call is a programming error that must not silently run the table.
+bool Bch::clmul_supported() { return false; }
+
+Bch::Remainder Bch::remainder_clmul(const BitVec&) const {
+  std::fprintf(stderr, "Bch: remainder_clmul called in a build without PCLMUL support\n");
+  std::abort();
+}
+#endif
+
+void Bch::encode(BitVec& codeword) const {
+  assert(codeword.size() == n_);
+  // Systematic encoding: parity = message(x) · x^r mod g(x). Parity bit
+  // k_+j is remainder bit j, the coefficient of x^(r-1-j).
+  const Remainder rem = remainder(codeword);
   codeword.set_bits(k_, static_cast<unsigned>(std::min<std::size_t>(r_, 64)), rem[0]);
   if (r_ > 64) codeword.set_bits(k_ + 64, static_cast<unsigned>(r_ - 64), rem[1]);
 }
 
-std::uint32_t Bch::syndrome_one(const BitVec& codeword, int j0) const {
-  // S_j = r(alpha^j) with bit i the coefficient of x^(n-1-i), evaluated by
-  // Horner word-at-a-time: a chunk of width L advances the accumulator by
-  // (alpha^j)^L and folds in alpha^(j·(L-1-k)) per set bit k.
-  const auto words = codeword.words();
-  const std::size_t full_words = tail_bits_ == 0 ? words_per_cw_ : words_per_cw_ - 1;
-  std::uint32_t acc = 0;
-  for (std::size_t wi = 0; wi < full_words; ++wi) {
-    acc = syndrome_word_step(acc, words[wi], j0, syn_pow64_[j0], 0);
+Bch::Remainder Bch::parity_difference(const BitVec& codeword) const {
+  assert(codeword.size() == n_);
+  // The received word is c(x) = M(x)·x^r + P(x), so c(x) ≡ d(x) mod g(x)
+  // with d = (M(x)·x^r mod g) + P.
+  Remainder d = remainder(codeword);
+  d[0] ^= codeword.get_bits(k_, static_cast<unsigned>(std::min<std::size_t>(r_, 64)));
+  if (r_ > 64) d[1] ^= codeword.get_bits(k_ + 64, static_cast<unsigned>(r_ - 64));
+  return d;
+}
+
+void Bch::syndromes_of(const Remainder& d, std::uint32_t* s) const {
+  // S_j = c(alpha^j) = d(alpha^j), since g(alpha^j) = 0 for j = 1..2t. The
+  // odd ones sum a weight per set bit of d; each even one is a square,
+  // S_2j = S_j^2, exact because d has 0/1 coefficients.
+  const std::size_t t = static_cast<std::size_t>(t_);
+  for (std::size_t o = 0; o < t; ++o) s[2 * o] = 0;
+  const std::uint32_t* weights = tab_->odd_weights.data();
+  for (std::size_t h = 0; h < 2; ++h) {
+    for (std::uint64_t bits = d[h]; bits != 0; bits &= bits - 1) {
+      const std::uint32_t* row =
+          weights + (64 * h + static_cast<std::size_t>(std::countr_zero(bits))) * t;
+      for (std::size_t o = 0; o < t; ++o) s[2 * o] ^= row[o];
+    }
   }
-  if (tail_bits_ != 0) {
-    // Tail weights alpha^(j·(tail-1-k)) live in the same row shifted by
-    // 64-tail (bits past the tail are zero by BitVec's invariant).
-    acc = syndrome_word_step(acc, words[words_per_cw_ - 1], j0, syn_powtail_[j0],
-                             static_cast<unsigned>(64 - tail_bits_));
-  }
-  return acc;
+  const GF2m& f = field();
+  for (std::size_t j = 2; j <= 2 * t; j += 2) s[j - 1] = f.mul(s[j / 2 - 1], s[j / 2 - 1]);
 }
 
 std::vector<std::uint32_t> Bch::syndromes(const BitVec& codeword) const {
-  assert(codeword.size() == n_);
   std::vector<std::uint32_t> s(2 * t_, 0);
-  for (int j0 = 0; j0 < 2 * t_; ++j0) s[j0] = syndrome_one(codeword, j0);
+  const Remainder d = parity_difference(codeword);
+  if (d[0] != 0 || d[1] != 0) syndromes_of(d, s.data());
   return s;
 }
 
 bool Bch::syndromes_zero(const BitVec& codeword) const {
-  assert(codeword.size() == n_);
-  for (int j0 = 0; j0 < 2 * t_; ++j0) {
-    if (syndrome_one(codeword, j0) != 0) return false;
-  }
-  return true;
+  // All 2t syndromes vanish iff g divides d, i.e. (deg d < r) iff d = 0.
+  const Remainder d = parity_difference(codeword);
+  return d[0] == 0 && d[1] == 0;
 }
 
 std::vector<std::uint32_t> Bch::syndromes_reference(const BitVec& codeword) const {
   // Bit-serial Horner oracle: S = S*alpha^j + bit, walking i ascending.
+  const GF2m& f = field();
   std::vector<std::uint32_t> s(2 * t_, 0);
   for (int j = 1; j <= 2 * t_; ++j) {
-    const std::uint32_t aj = field_.alpha_pow(static_cast<std::uint64_t>(j));
+    const std::uint32_t aj = f.alpha_pow(static_cast<std::uint64_t>(j));
     std::uint32_t acc = 0;
     for (std::size_t i = 0; i < n_; ++i) {
-      acc = field_.mul(acc, aj);
+      acc = f.mul(acc, aj);
       if (codeword.test(i)) acc ^= 1u;
     }
     s[j - 1] = acc;
@@ -235,96 +272,11 @@ std::vector<std::uint32_t> Bch::syndromes_reference(const BitVec& codeword) cons
   return s;
 }
 
-void Bch::build_slice_program() const {
-  // Flattened per-position accumulator lists: plane i is XORed into the
-  // accumulator word for (odd syndrome j = 2o+1, field bit b) iff bit b
-  // of alpha^(j*(n-1-i)) is set. Only odd syndromes are accumulated: in a
-  // binary BCH code S_2j = S_j^2 (squaring is linear over GF(2), and the
-  // received word has 0/1 coefficients), so every even syndrome is an
-  // exact field squaring of an earlier one — computed per line at
-  // extraction time. That halves the program, which is what the
-  // memory-bound Hi-ECC accumulation is limited by. Weights come straight
-  // from the field's antilog table rather than the word-Horner weight
-  // rows, so the two kernels fail independently under the differential
-  // tests.
-  slice_->off.assign(n_ + 1, 0);
-  std::vector<std::uint16_t> idx;
-  idx.reserve(n_ * static_cast<std::size_t>(t_) * static_cast<std::size_t>(m_) / 2);
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (int o = 0; o < t_; ++o) {
-      const int j = 2 * o + 1;
-      const std::uint32_t w = field_.alpha_pow(
-          static_cast<std::uint64_t>(j) * static_cast<std::uint64_t>(n_ - 1 - i));
-      for (int b = 0; b < m_; ++b) {
-        if ((w >> b) & 1u) {
-          idx.push_back(static_cast<std::uint16_t>(o * m_ + b));
-        }
-      }
-    }
-    slice_->off[i + 1] = static_cast<std::uint32_t>(idx.size());
-  }
-  slice_->idx = std::move(idx);
-}
-
-void Bch::accumulate_planes(const BitPlanes& planes, std::uint64_t* acc) const {
-  assert(planes.nbits() == n_);
-  std::call_once(slice_->once, [this] { build_slice_program(); });
-  // The constructor rejects t·m > kMaxSyndromeWords, the callers' buffer.
-  const std::size_t nacc = static_cast<std::size_t>(t_) * m_;
-  std::fill(acc, acc + nacc, 0);
-  const std::uint64_t* plane = planes.planes().data();
-  const std::uint16_t* prog = slice_->idx.data();
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::uint64_t p = plane[i];
-    const std::uint16_t* end = slice_->idx.data() + slice_->off[i + 1];
-    if (p == 0) {
-      prog = end;  // all-zero planes (e.g. short batches) cost nothing
-      continue;
-    }
-    for (; prog != end; ++prog) acc[*prog] ^= p;
-  }
-}
-
-void Bch::batch_syndromes(const BitPlanes& planes, std::uint32_t* out) const {
-  // acc[o*m + b] bit L = bit b of slot L's odd syndrome S_{2o+1};
-  // gathering a line's odd syndromes is t*m single-bit reads and the even
-  // ones are one field squaring each (S_2j = S_j^2, exact) — cheap next
-  // to the n-long accumulation the batch just amortised 64 ways.
-  std::uint64_t acc[kMaxSyndromeWords];
-  accumulate_planes(planes, acc);
-  const std::size_t nsyn = static_cast<std::size_t>(2 * t_);
-  for (std::size_t line = 0; line < planes.count(); ++line) {
-    std::uint32_t* s = out + line * nsyn;
-    for (std::size_t j = 1; j <= nsyn; ++j) {
-      if (j % 2 == 1) {
-        std::uint32_t v = 0;
-        const std::uint64_t* a = acc + (j / 2) * m_;
-        for (int b = 0; b < m_; ++b) {
-          v |= static_cast<std::uint32_t>((a[b] >> line) & 1u) << b;
-        }
-        s[j - 1] = v;
-      } else {
-        s[j - 1] = field_.mul(s[j / 2 - 1], s[j / 2 - 1]);
-      }
-    }
-  }
-}
-
-std::uint64_t Bch::batch_syndromes_zero(const BitPlanes& planes) const {
-  // Every even syndrome is a power-of-two Frobenius image of an odd one
-  // (S_2j = S_j^2), so all 2t syndromes are zero iff the t odd ones are.
-  std::uint64_t acc[kMaxSyndromeWords];
-  accumulate_planes(planes, acc);
-  std::uint64_t dirty = 0;
-  const std::size_t nacc = static_cast<std::size_t>(t_) * m_;
-  for (std::size_t a = 0; a < nacc; ++a) dirty |= acc[a];
-  return ~dirty & planes.lane_mask();
-}
-
 Bch::DecodeResult Bch::decode(BitVec& codeword) const {
-  assert(codeword.size() == n_);
-  std::array<std::uint32_t, 2 * kMaxT> s{};
-  for (int j0 = 0; j0 < 2 * t_; ++j0) s[j0] = syndrome_one(codeword, j0);
+  const Remainder d = parity_difference(codeword);
+  if (d[0] == 0 && d[1] == 0) return {DecodeStatus::kClean, 0};
+  std::array<std::uint32_t, 2 * kMaxT> s;
+  syndromes_of(d, s.data());
   return locate_and_correct(codeword, {s.data(), static_cast<std::size_t>(2 * t_)});
 }
 
@@ -335,12 +287,103 @@ Bch::DecodeResult Bch::decode_with_syndromes(BitVec& codeword,
   return locate_and_correct(codeword, s);
 }
 
+namespace {
+
+// The Chien scan over points [0, n) for `T` nonzero terms (T = 0 means a
+// runtime count): e[u] is the log of term u at the current point and
+// steps by step[u]. Points run in chunks in which no e[u] reaches `order`,
+// so the inner loop is a lookup, an XOR and an add per term; the chunk end
+// reduces the exponents that wrapped.
+template <int T>
+int chien_scan(const GF2m& f, std::uint32_t lambda0, const std::uint32_t* e0,
+               const std::uint32_t* step0, int terms, std::size_t n, int deg,
+               std::size_t* positions) {
+  const int count = T > 0 ? T : terms;
+  // Local copies: with T fixed they live in registers.
+  std::array<std::uint32_t, (T > 0 ? T : kMaxT)> e;
+  std::array<std::uint32_t, (T > 0 ? T : kMaxT)> step;
+  std::copy_n(e0, count, e.begin());
+  std::copy_n(step0, count, step.begin());
+  const std::uint32_t order = f.order();
+  int found = 0;
+  std::size_t i = 0;
+  while (i < n && found < deg) {
+    // Points before any exponent wraps: e[u] + step[u]·(len-1) < order.
+    std::size_t len = n - i;
+    for (int u = 0; u < count; ++u) {
+      len = std::min<std::size_t>(len, (order - 1 - e[u]) / step[u] + 1);
+    }
+    for (const std::size_t end = i + len; i < end; ++i) {
+      std::uint32_t acc = lambda0;
+#pragma GCC unroll 8
+      for (int u = 0; u < count; ++u) {
+        acc ^= f.antilog(e[u]);
+        e[u] += step[u];
+      }
+      if (acc == 0) {
+        positions[found++] = i;
+        if (found == deg) return found;
+      }
+    }
+    for (int u = 0; u < count; ++u) {
+      if (e[u] >= order) e[u] -= order;
+    }
+  }
+  return found;
+}
+
+}  // namespace
+
+int Bch::chien_search(std::span<const std::uint32_t> lambda,
+                      std::size_t* positions) const {
+  // Term c of Lambda(x_i) is lambda_c·x_i^c with x_i = alpha^(i-(n-1)). In
+  // the log domain it is alpha^(e_c), and stepping i -> i+1 adds c to e_c
+  // (mod 2^m - 1): one antilog lookup per term, no field multiply. Zero
+  // coefficients have no log and drop out.
+  assert(!lambda.empty() && lambda[0] == 1);
+  const int deg = static_cast<int>(lambda.size()) - 1;
+  assert(deg <= t_);
+  const GF2m& f = field();
+  const std::uint32_t order = f.order();
+  const std::uint64_t x0 = (order - (n_ - 1) % order) % order;  // log x_0
+  std::array<std::uint32_t, kMaxT> e;
+  std::array<std::uint32_t, kMaxT> step;
+  std::uint32_t constant = lambda[0];
+  int terms = 0;
+  for (int c = 1; c <= deg; ++c) {
+    if (lambda[c] == 0) continue;
+    if (c % order == 0) {
+      constant ^= lambda[c];  // x_i^c = 1 at every point
+      continue;
+    }
+    e[terms] = static_cast<std::uint32_t>((f.log(lambda[c]) + x0 * c) % order);
+    step[terms] = static_cast<std::uint32_t>(c) % order;
+    ++terms;
+  }
+  const auto scan = [&](auto fixed) {
+    return chien_scan<decltype(fixed)::value>(f, constant, e.data(), step.data(), terms,
+                                              n_, deg, positions);
+  };
+  // Fixed term counts keep the exponents in registers; t <= 6 covers
+  // every design the paper and the frontier use.
+  switch (terms) {
+    case 1: return scan(std::integral_constant<int, 1>{});
+    case 2: return scan(std::integral_constant<int, 2>{});
+    case 3: return scan(std::integral_constant<int, 3>{});
+    case 4: return scan(std::integral_constant<int, 4>{});
+    case 5: return scan(std::integral_constant<int, 5>{});
+    case 6: return scan(std::integral_constant<int, 6>{});
+    default: return scan(std::integral_constant<int, 0>{});
+  }
+}
+
 Bch::DecodeResult Bch::locate_and_correct(BitVec& codeword,
                                           std::span<const std::uint32_t> s) const {
   if (std::all_of(s.begin(), s.end(), [](std::uint32_t v) { return v == 0; })) {
     return {DecodeStatus::kClean, 0};
   }
   constexpr DecodeResult kUncorrectable{DecodeStatus::kUncorrectable, 0};
+  const GF2m& f = field();
 
   // Berlekamp–Massey: find the shortest LFSR (error locator Lambda) that
   // generates the syndrome sequence. Fixed arrays: entries past a
@@ -360,7 +403,7 @@ Bch::DecodeResult Bch::locate_and_correct(BitVec& codeword,
     // Discrepancy d = S_n + sum lambda_i * S_{n-i}.
     std::uint32_t d = s[nIdx];
     for (int i = 1; i <= L && i < static_cast<int>(lambda_len); ++i) {
-      d ^= field_.mul(lambda[i], s[nIdx - i]);
+      d ^= f.mul(lambda[i], s[nIdx - i]);
     }
     if (d == 0) {
       ++m;
@@ -370,10 +413,10 @@ Bch::DecodeResult Bch::locate_and_correct(BitVec& codeword,
     const std::size_t prev_len = lambda_len;
     if (lengthen) prev = lambda;
     // lambda = lambda - (d / bdisc) x^m b
-    const std::uint32_t coef = field_.div(d, bdisc);
+    const std::uint32_t coef = f.div(d, bdisc);
     lambda_len = std::max(lambda_len, b_len + m);
     for (std::size_t i = 0; i < b_len; ++i) {
-      lambda[i + m] ^= field_.mul(coef, b[i]);
+      lambda[i + m] ^= f.mul(coef, b[i]);
     }
     if (lengthen) {
       L = nIdx + 1 - L;
@@ -398,43 +441,28 @@ Bch::DecodeResult Bch::locate_and_correct(BitVec& codeword,
   // coefficients from x^1 up.
   std::array<std::size_t, kMaxT> error_idx{};
   if (deg == 1) {
-    error_idx[0] = root_position(field_.div(lambda[0], lambda[1]));
+    error_idx[0] = root_position(f.div(lambda[0], lambda[1]));
     if (error_idx[0] >= n_) return kUncorrectable;
   } else if (deg == 2) {
     // x = (l1/l2)·y turns l2x² + l1x + l0 into y² + y = c, c = l0·l2/l1².
     // l1 == 0 is a double root. Solutions come in pairs y, y + 1; c != 0,
     // so neither maps to x = 0.
     if (lambda[1] == 0) return kUncorrectable;
-    const std::uint32_t scale = field_.div(lambda[1], lambda[2]);
-    const std::uint32_t c = field_.div(field_.mul(lambda[0], lambda[2]),
-                                       field_.mul(lambda[1], lambda[1]));
+    const std::uint32_t scale = f.div(lambda[1], lambda[2]);
+    const std::uint32_t c =
+        f.div(f.mul(lambda[0], lambda[2]), f.mul(lambda[1], lambda[1]));
     std::uint32_t y = 0;
     for (std::uint32_t bits = c; bits != 0; bits &= bits - 1) {
-      y ^= quad_solve_[std::countr_zero(bits)];
+      y ^= tab_->quad_solve[std::countr_zero(bits)];
     }
-    if ((field_.mul(y, y) ^ y) != c) return kUncorrectable;  // no root in the field
-    const std::uint32_t x = field_.mul(scale, y);
+    if ((f.mul(y, y) ^ y) != c) return kUncorrectable;  // no root in the field
+    const std::uint32_t x = f.mul(scale, y);
     error_idx[0] = root_position(x);
     error_idx[1] = root_position(x ^ scale);
     if (error_idx[0] >= n_ || error_idx[1] >= n_) return kUncorrectable;
   } else {
-    // Chien search, incremental: term c holds lambda_c·x_i^c, and stepping
-    // i -> i+1 multiplies term c by alpha^c. Stops at the deg-th root.
-    std::array<std::uint32_t, kMaxT + 1> terms{};
-    std::array<std::uint32_t, kMaxT + 1> steps{};
-    const std::uint32_t x0 = field_.alpha_pow(
-        (field_.order() - (n_ - 1) % field_.order()) % field_.order());
-    for (int c = 0; c <= deg; ++c) {
-      terms[c] = field_.mul(lambda[c], field_.pow(x0, c));
-      steps[c] = field_.alpha_pow(c);
-    }
-    int found = 0;
-    for (std::size_t i = 0; i < n_ && found < deg; ++i) {
-      std::uint32_t acc = 0;
-      for (int c = 0; c <= deg; ++c) acc ^= terms[c];
-      if (acc == 0) error_idx[found++] = i;
-      for (int c = 1; c <= deg; ++c) terms[c] = field_.mul(terms[c], steps[c]);
-    }
+    // Chien search; it stops at the deg-th root.
+    const int found = chien_search({lambda.data(), lambda_len}, error_idx.data());
     // Fewer roots in range: the pattern exceeded the code's correction
     // power and was detected.
     if (found != deg) return kUncorrectable;

@@ -3,12 +3,17 @@
 // bits (m = 10, n = 1023 shortened), e.g. the 60-bit ECC-6 of §II-D, and
 // ECC-6 over 1 KB (m = 14) for the Hi-ECC comparison.
 //
-// Encoder: byte-at-a-time table LFSR over a reflected remainder held in
-// two 64-bit words (deg g = r <= 96), bit-serial for the last k mod 8
-// message bits.
-// Decoder: power-sum syndromes, Berlekamp–Massey error locator, then the
-// locator's roots — closed form for degree 1 and 2 (a GF(2)-linear solve
-// of y² + y = c), a Chien search that stops at the deg-th root otherwise.
+// One remainder serves encode, the clean check and the syndromes: the
+// reflected remainder of message(x)·x^r modulo g(x), held in two 64-bit
+// words (deg g = r <= 96). encode() stores it as the parity;
+// syndromes_zero() compares it with the stored parity; decode() evaluates
+// d = remainder ^ parity (degree < r) at the t odd points alpha^j and
+// squares for the even ones, exact because g(alpha^j) = 0. Two kernels
+// compute it: a byte-table LFSR (portable) and PCLMUL folding
+// (bch_clmul.cpp, x86-64 with pclmulqdq), picked once per process.
+// Decoder: Berlekamp–Massey error locator, then the locator's roots —
+// closed form for degree 1 and 2 (a GF(2)-linear solve of y² + y = c), a
+// log-domain Chien search that stops at the deg-th root otherwise.
 // More than t faults either raise a detected decode failure or (rarely)
 // miscorrect — both behaviours are faithfully exposed, since the
 // reliability analysis depends on them. docs/perf.md has the derivations.
@@ -17,11 +22,9 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
-#include "codes/batch_codec.h"
 #include "common/bitvec.h"
 #include "codes/gf2m.h"
 
@@ -29,8 +32,9 @@ namespace sudoku {
 
 class Bch {
  public:
-  // Capacity of the bit-sliced syndrome accumulator, in words (t·m): sized
-  // for the largest frontier design, t = 6 over GF(2^16).
+  // Largest t·m the constructor accepts: deg g <= t·m <= 96 keeps the
+  // remainder in two words. Sized for the largest frontier design, t = 6
+  // over GF(2^16).
   static constexpr std::size_t kMaxSyndromeWords = 6 * 16;
 
   // Code over GF(2^m) correcting up to t errors, shortened to carry
@@ -63,88 +67,116 @@ class Bch {
     int corrected = 0;  // number of bits flipped
   };
 
+  // Allocation-free: the syndromes live on the stack.
   DecodeResult decode(BitVec& codeword) const;
 
-  // decode() with the power-sum syndromes already in hand (e.g. from
-  // batch_syndromes). Given the same syndrome values, the correction and
-  // status are identical to decode() — the batched scrub paths rely on
-  // that to stay bit-identical to the per-line code.
+  // decode() with the power-sum syndromes S_1..S_2t already in hand. Given
+  // the syndromes of `codeword`, the correction and status are identical
+  // to decode(); the differential tests also feed it free syndrome vectors
+  // to reach every locator shape.
   DecodeResult decode_with_syndromes(BitVec& codeword,
                                      std::span<const std::uint32_t> s) const;
 
-  // Power-sum syndromes S_1..S_2t of a (possibly corrupted) codeword.
-  // Word-at-a-time Horner: per backing word, one multiply by alpha^(64·j)
-  // plus an XOR of a precomputed weight per set bit, instead of one field
-  // multiply per codeword bit. Public so the differential kernel tests and
-  // the throughput bench can compare it against the bit-serial oracle.
+  // Power-sum syndromes S_1..S_2t of a (possibly corrupted) codeword, from
+  // the remainder: identical values to syndromes_reference().
   std::vector<std::uint32_t> syndromes(const BitVec& codeword) const;
 
-  // Bit-serial oracle (one field multiply per bit per syndrome); identical
-  // values to syndromes().
+  // Bit-serial oracle (one field multiply per bit per syndrome).
   std::vector<std::uint32_t> syndromes_reference(const BitVec& codeword) const;
 
-  // True iff every syndrome is zero. Allocation-free with per-syndrome
-  // early exit — the scrub fast path for clean lines, which no longer
-  // copies the codeword through a trial decode.
+  // True iff every syndrome is zero, i.e. iff the remainder of the stored
+  // message equals the stored parity. Allocation-free.
   bool syndromes_zero(const BitVec& codeword) const;
 
-  // --- bit-sliced batch kernels (the BatchCodec engine, docs/perf.md) ---
-  // All of a transposed batch's syndromes at once: `out` receives
-  // planes.count() rows of 2t values, row L = the syndromes of the
-  // codeword staged in slot L, identical to syndromes() on that codeword.
-  // planes.nbits() must equal codeword_bits().
-  void batch_syndromes(const BitPlanes& planes, std::uint32_t* out) const;
+  // --- the remainder kernels ---
+  // Reflected remainder of message(x)·x^r mod g(x), where the message is
+  // codeword[0, k) with bit 0 the highest degree: bit j (of the 128) is the
+  // coefficient of x^(r-1-j), i.e. the parity bit encode() stores at k + j.
+  // Bits j >= r are zero. The parity bits of `codeword` are not read.
+  using Remainder = std::array<std::uint64_t, 2>;
 
-  // Bit L of the result is set iff slot L's syndromes are all zero — the
-  // batched clean check (one word XOR per accumulator touch for all 64
-  // lines together, no per-line extraction).
-  std::uint64_t batch_syndromes_zero(const BitPlanes& planes) const;
+  // The dispatched kernel: remainder_clmul() when clmul_supported(), else
+  // remainder_table().
+  Remainder remainder(const BitVec& codeword) const {
+    return clmul_ ? remainder_clmul(codeword) : remainder_table(codeword);
+  }
+
+  // Byte-table LFSR: one 16-byte lookup per message byte, the last k mod 8
+  // bits clocked bit-serially.
+  Remainder remainder_table(const BitVec& codeword) const;
+
+  // PCLMUL folding of 256-bit blocks, then a carry-less finish and the
+  // byte table for the bits past the last whole block. Only callable when
+  // clmul_supported(); compiled to an abort stub otherwise.
+  Remainder remainder_clmul(const BitVec& codeword) const;
+
+  // True iff the build carries the PCLMUL kernel (SUDOKU_ENABLE_PCLMUL on
+  // x86-64) and the host CPU has pclmulqdq. Evaluated once per process.
+  static bool clmul_supported();
+
+  // Chien search over the codeword positions for the locator `lambda`
+  // (lambda[0] = 1, degree lambda.size() - 1 <= t): writes the positions
+  // i < n whose point alpha^(i-(n-1)) is a root to `positions`, ascending,
+  // and returns their count. Stops at the deg-th root; a locator with
+  // fewer roots in range (roots past n, double roots, irreducible factors)
+  // is scanned in full. Log domain: one antilog lookup per term and point.
+  int chien_search(std::span<const std::uint32_t> lambda, std::size_t* positions) const;
 
  private:
+  // Immutable per-code tables, built once in the constructor and shared
+  // by copies of the code (each Monte-Carlo shard's scheme holds one).
+  struct Tables {
+    explicit Tables(int m) : field(m) {}
+    GF2m field;
+    Remainder gen_reflected{};  // g(x) - x^r, reflected
+    // Entry v: the register after clocking v's 8 bits (bit 0 first)
+    // through a zero LFSR.
+    std::array<Remainder, 256> byte_table{};
+    // Degree-2 locator solve: y² + y is GF(2)-linear with kernel {0, 1},
+    // so a root of y² + y = c (when one exists) is the XOR of
+    // quad_solve[b] over the set bits b of c.
+    std::array<std::uint32_t, 16> quad_solve{};
+    // odd_weights[b·t + o] = alpha^((2o+1)(r-1-b)): what bit b of the
+    // difference adds to the odd syndrome S_(2o+1).
+    std::vector<std::uint32_t> odd_weights;
+    // PCLMUL constants for word w = 0..3 of a 256-bit block, in the
+    // remainder format: fold[w] = x^(319+r-64w) mod g, which read with top
+    // degree 128 is x^(64(3-w)+256) mod g times x^(129-r); finish[w] =
+    // x^(64(3-w)+r) mod g.
+    std::array<Remainder, 4> fold{};
+    std::array<Remainder, 4> finish{};
+  };
+
   int m_;
   int t_;
   std::size_t k_;  // message bits
   std::size_t r_;  // parity bits (deg g)
   std::size_t n_;  // k + r
-  GF2m field_;
+  bool clmul_ = false;  // remainder() runs remainder_clmul()
+  std::shared_ptr<const Tables> tab_;
 
-  // Encoder LFSR state: the remainder reflected, bit j = coefficient of
-  // x^(r-1-j) (the parity bit stored at k_+j), over two words since
-  // r = deg g can exceed 63 (84 for Hi-ECC's ECC-6 over 1 KB, 96 at most).
-  using Remainder = std::array<std::uint64_t, 2>;
-  Remainder gen_reflected_{};           // g(x) - x^r, reflected
-  std::vector<Remainder> enc_table_;    // 256 entries: 8 message bits at once
-  void encode_bit(Remainder& rem, std::uint32_t bit) const;
+  const GF2m& field() const { return tab_->field; }
 
-  // Degree-2 locator solve: y² + y is GF(2)-linear with kernel {0, 1}, so a
-  // root of y² + y = c (when one exists) is the XOR of quad_solve_[b] over
-  // the set bits b of c.
-  std::array<std::uint32_t, 16> quad_solve_{};
-
-  // Word-level syndrome tables, built once per code. For syndrome j
-  // (1-based), row j-1 of syn_weights_ holds alpha^(j·(63-k)) for word-bit
-  // position k, syn_pow64_ holds alpha^(64·j) (the per-word Horner
-  // multiplier), and syn_powtail_ holds alpha^(tail_bits·j) for the final
-  // partial word. Tail weights reuse the same row at offset 64-tail_bits.
-  std::size_t words_per_cw_ = 0;
-  std::size_t tail_bits_ = 0;  // n_ mod 64 (0 = codeword ends word-aligned)
-  std::vector<std::uint32_t> syn_weights_;  // 2t rows of 64
-  std::vector<std::uint32_t> syn_pow64_;
-  std::vector<std::uint32_t> syn_powtail_;
-
-  // Horner step over one word chunk of `width` bits for syndrome row j0.
-  std::uint32_t syndrome_word_step(std::uint32_t acc, std::uint64_t w, int j0,
-                                   std::uint32_t pow, unsigned weight_offset) const {
-    acc = field_.mul(acc, pow);
-    const std::uint32_t* weights = &syn_weights_[static_cast<std::size_t>(j0) * 64];
-    while (w != 0) {
-      acc ^= weights[weight_offset + static_cast<unsigned>(std::countr_zero(w))];
-      w &= w - 1;
-    }
-    return acc;
+  // One byte-table LFSR step: the low 8 bits of `byte` clocked into `rem`.
+  // By linearity the bits above rem's low byte only shift during the 8
+  // clocks, so the step is one lookup of the register after clocking
+  // (rem ^ byte)'s low byte through a zero register.
+  static void byte_step(Remainder& rem, const std::array<Remainder, 256>& table,
+                        std::uint64_t byte) {
+    const Remainder& e = table[(rem[0] ^ byte) & 0xFF];
+    rem[0] = ((rem[0] >> 8) | (rem[1] << 56)) ^ e[0];
+    rem[1] = (rem[1] >> 8) ^ e[1];
   }
 
-  std::uint32_t syndrome_one(const BitVec& codeword, int j0) const;
+  // Byte-table LFSR from `rem` over message bits [from, k_); `from` is a
+  // multiple of 64.
+  Remainder table_from(Remainder rem, const BitVec& codeword, std::size_t from) const;
+
+  // Remainder ^ stored parity: zero iff the codeword is clean.
+  Remainder parity_difference(const BitVec& codeword) const;
+
+  // S_1..S_2t of a nonzero difference d into s[0, 2t).
+  void syndromes_of(const Remainder& d, std::uint32_t* s) const;
 
   // BM + root finding shared by decode() and decode_with_syndromes().
   DecodeResult locate_and_correct(BitVec& codeword,
@@ -153,34 +185,8 @@ class Bch {
   // Codeword bit index whose Chien point alpha^(i-(n-1)) is `root` (!= 0);
   // >= n_ when the root falls outside the shortened code.
   std::size_t root_position(std::uint32_t root) const {
-    return (field_.log(root) + n_ - 1) % field_.order();
+    return (field().log(root) + n_ - 1) % field().order();
   }
-
-  // Bit-slice program, built lazily on first batch call (the Hi-ECC
-  // geometry's program is ~0.7 MB — per-line users never pay for it).
-  // For codeword position i, entries [off[i], off[i+1]) name the
-  // accumulator words (odd syndrome j = 2o+1, field bit b -> o*m + b)
-  // that plane i is XORed into: exactly the set bits of alpha^(j*(n-1-i))
-  // for each odd j. Even syndromes are exact field squarings (S_2j =
-  // S_j^2 in a binary BCH code) applied per line at extraction — halving
-  // the program the accumulation streams through. Weights are computed
-  // directly from the field's antilog table so the batch path shares no
-  // derived tables with the word-Horner kernel (independent
-  // implementations for the differential tests). Heap-held so the
-  // once_flag doesn't cost Bch its copy and move constructors, and shared
-  // by copies: the program is immutable once built, so the copies of one
-  // code (the Monte-Carlo shards' schemes) build it once between them.
-  struct SliceProgram {
-    std::once_flag once;
-    std::vector<std::uint32_t> off;  // n_ + 1 offsets
-    std::vector<std::uint16_t> idx;
-  };
-  void build_slice_program() const;
-  std::shared_ptr<SliceProgram> slice_ = std::make_shared<SliceProgram>();
-
-  // Run the slice program over a finalized batch: acc[j0*m + b] bit L =
-  // bit b of slot L's syndrome S_{j0+1}.
-  void accumulate_planes(const BitPlanes& planes, std::uint64_t* acc) const;
 };
 
 }  // namespace sudoku

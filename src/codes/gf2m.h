@@ -47,6 +47,9 @@ class GF2m {
 
   std::uint32_t log(std::uint32_t a) const { return log_[a]; }  // a != 0
 
+  // alpha^e without the reduction: e <= order().
+  std::uint32_t antilog(std::uint32_t e) const { return alog_[e]; }
+
  private:
   std::uint32_t reduce(std::uint32_t e) const {
     return e >= order() ? e - order() : e;

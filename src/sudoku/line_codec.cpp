@@ -68,14 +68,20 @@ bool LineCodec::fully_clean(const BitVec& stored) const {
 std::uint64_t LineCodec::fully_clean_batch(std::span<const BitVec> stored,
                                            BitPlanes& planes) const {
   assert(!stored.empty() && stored.size() <= BitPlanes::kMaxLines);
+  std::uint64_t mask = 0;
+  if (!hamming_) {
+    for (std::size_t i = 0; i < stored.size(); ++i) {
+      if (fully_clean(stored[i])) mask |= std::uint64_t{1} << i;
+    }
+    return mask;
+  }
   planes.reset(total_bits(), stored.size());
   for (std::size_t i = 0; i < stored.size(); ++i) {
     assert(stored[i].size() == total_bits());
     planes.load_line(i, stored[i].words());
   }
   planes.finalize();
-  std::uint64_t mask = hamming_ ? hamming_->batch_syndromes_zero(planes)
-                                : bch_->batch_syndromes_zero(planes);
+  mask = hamming_->batch_syndromes_zero(planes);
   // CRC only for inner-clean lines — the same short-circuit fully_clean
   // takes, so the two paths agree bit for bit.
   for (std::uint64_t m = mask; m != 0; m &= m - 1) {

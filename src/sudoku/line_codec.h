@@ -55,12 +55,14 @@ class LineCodec {
   bool fully_clean(const BitVec& stored) const;
 
   // Batched fully_clean over up to BitPlanes::kMaxLines stored lines: bit
-  // k of the result is set iff fully_clean(stored[k]). The inner-code
-  // syndromes run bit-sliced across the whole batch (the BatchCodec
-  // engine); the CRC — already word-at-a-time or CLMUL — runs per line,
-  // and only for lines whose inner syndromes are clean, mirroring
-  // fully_clean's evaluation order. `planes` is caller-owned scratch so a
-  // sweep reuses the transpose buffers across batches.
+  // k of the result is set iff fully_clean(stored[k]). With the ECC-1
+  // inner code the Hamming syndromes run bit-sliced across the whole batch
+  // (the BatchCodec engine); the CRC — already word-at-a-time or CLMUL —
+  // runs per line, and only for lines whose inner syndromes are clean,
+  // mirroring fully_clean's evaluation order. `planes` is caller-owned
+  // scratch so a sweep reuses the transpose buffers across batches. A BCH
+  // inner code checks each line with fully_clean (one remainder per line)
+  // and leaves `planes` untouched.
   std::uint64_t fully_clean_batch(std::span<const BitVec> stored,
                                   BitPlanes& planes) const;
 

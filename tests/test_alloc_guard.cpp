@@ -20,6 +20,7 @@
 #include <new>
 
 #include "baselines/ecck_cache.h"
+#include "baselines/hiecc_cache.h"
 #include "baselines/mc_runner.h"
 #include "faults/scenario.h"
 #include "reliability/montecarlo.h"
@@ -175,6 +176,22 @@ TEST(AllocGuard, Ecc4IntervalsAllocateIndependentlyOfFaults) {
   expect_flat("ECC-4", ecc4_run);
 }
 
+// Hi-ECC scrubs whole 1 KB regions through the same per-unit decode.
+std::function<std::uint64_t(std::uint64_t)> hiecc_run(double ber) {
+  return [ber](std::uint64_t intervals) {
+    baselines::HiEccCache scheme(kLines);
+    baselines::BaselineMcConfig c;
+    c.ber = ber;
+    c.seed = 11;
+    c.max_intervals = intervals;
+    return baselines::run_baseline_mc(scheme, c).faults_injected;
+  };
+}
+
+TEST(AllocGuard, HiEccIntervalsAllocateIndependentlyOfFaults) {
+  expect_flat("Hi-ECC", hiecc_run);
+}
+
 // The scenario branch, under the `mixed` preset (stuck and intermittent
 // cells, row clusters and an i.i.d. floor) at 4x its rates and cell counts.
 // Its fault count does not scale with one knob, so the bound is the
@@ -223,6 +240,21 @@ TEST(AllocGuard, Ecc4ScenarioIntervalsStayUnderTheBound) {
       accelerated_mixed(), faults::Geometry{probe.num_units(), probe.bits_per_unit()}, 11);
   expect_scenario_bounded("ECC-4", [scenario](std::uint64_t intervals) {
     baselines::EccKCache scheme(kLines, 4);
+    baselines::BaselineMcConfig c;
+    c.seed = 11;
+    c.max_intervals = intervals;
+    c.per_trial_seed_streams = true;
+    c.scenario = scenario.get();
+    return baselines::run_baseline_mc(scheme, c).faults_injected;
+  });
+}
+
+TEST(AllocGuard, HiEccScenarioIntervalsStayUnderTheBound) {
+  const baselines::HiEccCache probe(kLines);
+  const auto scenario = std::make_shared<faults::FaultScenario>(
+      accelerated_mixed(), faults::Geometry{probe.num_units(), probe.bits_per_unit()}, 11);
+  expect_scenario_bounded("Hi-ECC", [scenario](std::uint64_t intervals) {
+    baselines::HiEccCache scheme(kLines);
     baselines::BaselineMcConfig c;
     c.seed = 11;
     c.max_intervals = intervals;

@@ -1,17 +1,11 @@
 // Differential test battery for the BatchCodec engine (docs/perf.md):
-// the bit-plane transpose, the bit-sliced Hamming and BCH batch syndrome
-// kernels, LineCodec::fully_clean_batch, decode_with_syndromes, and the
-// CRC-31 kernel dispatch (force_kernel / SUDOKU_CRC31_KERNEL) including
-// the PCLMUL folding path. Everything is pinned to the bit-serial
-// oracles under the "bit-identical or it doesn't ship" rule; every
-// randomized assertion prints its trial seed so a failure replays.
-//
-// Oracle-cost note: the BCH bit-serial reference runs at ~1 MB/s, so the
-// 1e4-batch sweeps compare word-for-word against syndromes() — itself
-// pinned bit-identical to syndromes_reference() by
-// tests/test_codec_kernels.cpp — and re-check a sampled line per ~50
-// batches against the true bit-serial oracle. The corner-pattern batches
-// compare every line against the bit-serial oracle directly.
+// the bit-plane transpose, the bit-sliced Hamming batch syndrome kernels,
+// LineCodec::fully_clean_batch, decode_with_syndromes, the BCH baselines'
+// scrub loop, and the CRC-31 kernel dispatch (force_kernel /
+// SUDOKU_CRC31_KERNEL) including the PCLMUL folding path. Everything is
+// pinned to the bit-serial oracles under the "bit-identical or it doesn't
+// ship" rule; every randomized assertion prints its trial seed so a
+// failure replays.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -152,62 +146,15 @@ TEST(BatchCodec, HammingBatchSyndromesMatchBitSerialOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// BCH batch kernel vs syndromes() (oracle-pinned) + sampled bit-serial
+// decode_with_syndromes vs decode
 // ---------------------------------------------------------------------------
 
 class BatchBch : public ::testing::TestWithParam<int /*t*/> {};
 
-TEST_P(BatchBch, BatchSyndromesMatchWordHornerAndSampledOracle) {
-  const int t = GetParam();
-  const Bch bch(10, t, 512);
-  const std::size_t n = bch.codeword_bits();
-  const std::size_t nsyn = static_cast<std::size_t>(2 * t);
-  BitPlanes planes;
-  std::vector<std::uint32_t> out(BitPlanes::kMaxLines * nsyn);
-  for (int trial = 0; trial < kBatchTrials; ++trial) {
-    const std::uint64_t seed = kBaseSeed + 3000 + static_cast<std::uint64_t>(trial);
-    Rng rng(seed);
-    const std::size_t count = kWidths[trial % std::size(kWidths)];
-    std::vector<BitVec> batch;
-    for (std::size_t i = 0; i < count; ++i) {
-      BitVec cw = random_bits(n, rng);
-      for (std::size_t b = 512; b < n; ++b) cw.reset(b);
-      bch.encode(cw);
-      inject(cw, rng, 8);
-      batch.push_back(std::move(cw));
-    }
-    load_batch(planes, batch, n);
-    bch.batch_syndromes(planes, out.data());
-    const std::uint64_t clean = bch.batch_syndromes_zero(planes);
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto horner = bch.syndromes(batch[i]);
-      ASSERT_EQ(nsyn, horner.size());
-      for (std::size_t j = 0; j < nsyn; ++j) {
-        ASSERT_EQ(out[i * nsyn + j], horner[j])
-            << "seed " << seed << " t " << t << " line " << i << " S_" << j + 1;
-      }
-      const bool zero = std::all_of(horner.begin(), horner.end(),
-                                    [](std::uint32_t s) { return s == 0; });
-      ASSERT_EQ((clean >> i) & 1u, zero ? 1u : 0u)
-          << "seed " << seed << " t " << t << " line " << i;
-    }
-    ASSERT_EQ(clean & ~planes.lane_mask(), 0u) << "seed " << seed << " t " << t;
-    if (trial % 50 == 0) {
-      // Close the oracle chain on a sampled line: batch == bit-serial.
-      const std::size_t i = rng.next_below(count);
-      const auto oracle = bch.syndromes_reference(batch[i]);
-      for (std::size_t j = 0; j < nsyn; ++j) {
-        ASSERT_EQ(out[i * nsyn + j], oracle[j])
-            << "seed " << seed << " t " << t << " line " << i << " S_" << j + 1;
-      }
-    }
-  }
-}
-
 TEST_P(BatchBch, DecodeWithSyndromesMatchesDecode) {
-  // The batched scrub paths feed batch syndromes into
-  // decode_with_syndromes; the outcome (status, corrected count, final
-  // codeword) must be identical to the self-contained decode().
+  // Given a codeword's own syndromes, decode_with_syndromes must decide
+  // exactly like the self-contained decode(): status, corrected count and
+  // final codeword.
   const int t = GetParam();
   const Bch bch(10, t, 512);
   const std::size_t n = bch.codeword_bits();
@@ -237,68 +184,17 @@ INSTANTIATE_TEST_SUITE_P(Strengths, BatchBch, ::testing::Values(2, 3, 6),
                            return "t" + t;
                          });
 
-TEST(BatchCodec, HiEccWidthBatchSyndromesMatchOracle) {
-  // The m=14 Hi-ECC geometry (8192-bit regions): a shorter sweep vs
-  // syndromes(), with a handful of lines closed against the bit-serial
-  // oracle (which runs at <1 MB/s at this width).
-  const Bch bch(14, 6, 8192);
-  const std::size_t n = bch.codeword_bits();
-  const std::size_t nsyn = 12;
-  BitPlanes planes;
-  std::vector<std::uint32_t> out(BitPlanes::kMaxLines * nsyn);
-  for (int trial = 0; trial < 500; ++trial) {
-    const std::uint64_t seed = kBaseSeed + 5000 + static_cast<std::uint64_t>(trial);
-    Rng rng(seed);
-    const std::size_t count = kWidths[trial % std::size(kWidths)];
-    std::vector<BitVec> batch;
-    for (std::size_t i = 0; i < count; ++i) {
-      BitVec cw = random_bits(n, rng);
-      for (std::size_t b = 8192; b < n; ++b) cw.reset(b);
-      bch.encode(cw);
-      inject(cw, rng, 8);
-      batch.push_back(std::move(cw));
-    }
-    load_batch(planes, batch, n);
-    bch.batch_syndromes(planes, out.data());
-    const std::uint64_t clean = bch.batch_syndromes_zero(planes);
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto horner = bch.syndromes(batch[i]);
-      const bool zero = std::all_of(horner.begin(), horner.end(),
-                                    [](std::uint32_t s) { return s == 0; });
-      for (std::size_t j = 0; j < nsyn; ++j) {
-        ASSERT_EQ(out[i * nsyn + j], horner[j])
-            << "seed " << seed << " line " << i << " S_" << j + 1;
-      }
-      ASSERT_EQ((clean >> i) & 1u, zero ? 1u : 0u) << "seed " << seed << " line " << i;
-    }
-    if (trial % 100 == 0) {
-      const std::size_t i = rng.next_below(count);
-      const auto oracle = bch.syndromes_reference(batch[i]);
-      for (std::size_t j = 0; j < nsyn; ++j) {
-        ASSERT_EQ(out[i * nsyn + j], oracle[j])
-            << "seed " << seed << " line " << i << " S_" << j + 1;
-      }
-      BitVec via_decode = batch[i];
-      const auto a = bch.decode(via_decode);
-      BitVec via_syndromes = batch[i];
-      const auto b = bch.decode_with_syndromes(
-          via_syndromes, {out.data() + i * nsyn, nsyn});
-      ASSERT_EQ(a.status, b.status) << "seed " << seed;
-      ASSERT_EQ(via_decode, via_syndromes) << "seed " << seed;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Batched scrub at the accumulator's capacity: 4KB-t6 is GF(2^16) with
-// t·m = 96 accumulator words, the largest design the frontier sweeps.
+// The baselines' scrub loop at the remainder's capacity: 4KB-t6 is
+// GF(2^16) with t·m = 96 parity bits, the largest design the frontier
+// sweeps.
 // ---------------------------------------------------------------------------
 
 TEST(BatchCodec, BatchScrubOfFourKbT6RegionsMatchesPerRegionDecode) {
   const Bch bch = make_bch(make_ecc_design(4096, 6));
   ASSERT_EQ(static_cast<std::size_t>(bch.t()) * 16, Bch::kMaxSyndromeWords);
   constexpr std::uint64_t kSeed = kBaseSeed + 96;
-  constexpr std::size_t kRegions = 14;  // >= min_batch: the batched path
+  constexpr std::size_t kRegions = 14;
   const auto n = static_cast<std::uint32_t>(bch.codeword_bits());
   SttramArray batched(kRegions, n);
   SttramArray per_region(kRegions, n);
@@ -317,8 +213,8 @@ TEST(BatchCodec, BatchScrubOfFourKbT6RegionsMatchesPerRegionDecode) {
   std::vector<std::uint64_t> units(kRegions);
   for (std::size_t r = 0; r < kRegions; ++r) units[r] = r;
 
-  const auto stats =
-      baselines::batch_scrub_bch(bch, batched, units, /*min_batch=*/12);
+  BitVec scratch;
+  const auto stats = baselines::batch_scrub_bch(bch, batched, units, scratch);
 
   std::uint64_t corrected = 0;
   std::vector<std::uint64_t> due;
@@ -351,105 +247,36 @@ TEST(BatchCodec, BatchScrubOfFourKbT6RegionsMatchesPerRegionDecode) {
 
 TEST(BatchCodec, CornerPatternBatchesMatchBitSerialOracles) {
   const Hamming h(LineCodec::kMessageBits);
-  const Bch bch10(10, 6, 512);
-  const Bch bch14(14, 6, 8192);
-  struct Geometry {
-    std::size_t n;
-    const Hamming* hamming;
-    const Bch* bch;
-  };
-  const Geometry geoms[] = {{h.codeword_bits(), &h, nullptr},
-                            {bch10.codeword_bits(), nullptr, &bch10},
-                            {bch14.codeword_bits(), nullptr, &bch14}};
+  const std::size_t n = h.codeword_bits();
   BitPlanes planes;
-  for (const auto& g : geoms) {
-    std::vector<BitVec> batch;
-    for (std::size_t i = 0; i < BitPlanes::kMaxLines; ++i) {
-      BitVec cw(g.n);
-      switch (i % 4) {
-        case 0:  // all-zero: the canonical codeword of every linear code
-          break;
-        case 1:  // all-one
-          for (std::size_t b = 0; b < g.n; ++b) cw.set(b);
-          break;
-        case 2:  // single bit, position varied across lines
-          cw.set((i * 131) % g.n);
-          break;
-        case 3: {  // 32-bit burst straddling word boundaries
-          const std::size_t start = (i * 97) % (g.n - 32);
-          for (std::size_t b = start; b < start + 32; ++b) cw.set(b);
-          break;
-        }
-      }
-      batch.push_back(std::move(cw));
-    }
-    load_batch(planes, batch, g.n);
-    if (g.hamming != nullptr) {
-      std::vector<std::uint32_t> out(batch.size());
-      g.hamming->batch_syndromes(planes, out.data());
-      const std::uint64_t clean = g.hamming->batch_syndromes_zero(planes);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const std::uint32_t oracle = g.hamming->syndrome_reference(batch[i]);
-        ASSERT_EQ(out[i], oracle) << "n " << g.n << " line " << i;
-        ASSERT_EQ((clean >> i) & 1u, oracle == 0 ? 1u : 0u) << "line " << i;
-      }
-    } else {
-      const std::size_t nsyn = 12;
-      std::vector<std::uint32_t> out(batch.size() * nsyn);
-      g.bch->batch_syndromes(planes, out.data());
-      const std::uint64_t clean = g.bch->batch_syndromes_zero(planes);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const auto oracle = g.bch->syndromes_reference(batch[i]);
-        const bool zero = std::all_of(oracle.begin(), oracle.end(),
-                                      [](std::uint32_t s) { return s == 0; });
-        for (std::size_t j = 0; j < nsyn; ++j) {
-          ASSERT_EQ(out[i * nsyn + j], oracle[j])
-              << "n " << g.n << " line " << i << " S_" << j + 1;
-        }
-        ASSERT_EQ((clean >> i) & 1u, zero ? 1u : 0u) << "n " << g.n << " line " << i;
+  std::vector<BitVec> batch;
+  for (std::size_t i = 0; i < BitPlanes::kMaxLines; ++i) {
+    BitVec cw(n);
+    switch (i % 4) {
+      case 0:  // all-zero: the canonical codeword of every linear code
+        break;
+      case 1:  // all-one
+        for (std::size_t b = 0; b < n; ++b) cw.set(b);
+        break;
+      case 2:  // single bit, position varied across lines
+        cw.set((i * 131) % n);
+        break;
+      case 3: {  // 32-bit burst straddling word boundaries
+        const std::size_t start = (i * 97) % (n - 32);
+        for (std::size_t b = start; b < start + 32; ++b) cw.set(b);
+        break;
       }
     }
+    batch.push_back(std::move(cw));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Stream chunking: sizes 1, 63, 64, 65, ... split into <=64-line batches
-// exactly like the scrubber sweep and the throughput bench.
-// ---------------------------------------------------------------------------
-
-TEST(BatchCodec, StreamSizesCoverFullAndPartialTails) {
-  const Bch bch(10, 3, 512);
-  const std::size_t n = bch.codeword_bits();
-  const std::size_t nsyn = 6;
-  BitPlanes planes;
-  for (const std::size_t total : {1ul, 63ul, 64ul, 65ul, 130ul, 200ul}) {
-    const std::uint64_t seed = kBaseSeed + 7000 + total;
-    Rng rng(seed);
-    std::vector<BitVec> stream;
-    for (std::size_t i = 0; i < total; ++i) {
-      BitVec cw = random_bits(n, rng);
-      for (std::size_t b = 512; b < n; ++b) cw.reset(b);
-      bch.encode(cw);
-      inject(cw, rng, 6);
-      stream.push_back(std::move(cw));
-    }
-    std::vector<std::uint32_t> out(BitPlanes::kMaxLines * nsyn);
-    for (std::size_t base = 0; base < total; base += BitPlanes::kMaxLines) {
-      const std::size_t count = std::min(BitPlanes::kMaxLines, total - base);
-      planes.reset(n, count);
-      for (std::size_t i = 0; i < count; ++i) {
-        planes.load_line(i, stream[base + i].words());
-      }
-      planes.finalize();
-      bch.batch_syndromes(planes, out.data());
-      for (std::size_t i = 0; i < count; ++i) {
-        const auto horner = bch.syndromes(stream[base + i]);
-        for (std::size_t j = 0; j < nsyn; ++j) {
-          ASSERT_EQ(out[i * nsyn + j], horner[j])
-              << "seed " << seed << " total " << total << " line " << base + i;
-        }
-      }
-    }
+  load_batch(planes, batch, n);
+  std::vector<std::uint32_t> out(batch.size());
+  h.batch_syndromes(planes, out.data());
+  const std::uint64_t clean = h.batch_syndromes_zero(planes);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::uint32_t oracle = h.syndrome_reference(batch[i]);
+    ASSERT_EQ(out[i], oracle) << "n " << n << " line " << i;
+    ASSERT_EQ((clean >> i) & 1u, oracle == 0 ? 1u : 0u) << "line " << i;
   }
 }
 
@@ -458,9 +285,10 @@ TEST(BatchCodec, StreamSizesCoverFullAndPartialTails) {
 // ---------------------------------------------------------------------------
 
 TEST(BatchCodec, FullyCleanBatchMatchesPerLine) {
-  // ECC-1 (Hamming inner code) and ECC-2 (BCH inner code), with fault
-  // masks that produce clean lines, inner-dirty lines, and the nasty case
-  // of inner-clean lines whose CRC fails (faults aliasing to a codeword).
+  // ECC-1 (Hamming inner code, bit-sliced) and ECC-2 (BCH inner code, per
+  // line), with fault masks that produce clean lines, inner-dirty lines,
+  // and the nasty case of inner-clean lines whose CRC fails (faults
+  // aliasing to a codeword).
   for (const int t : {1, 2}) {
     const LineCodec codec(t);
     BitPlanes planes;
@@ -480,7 +308,9 @@ TEST(BatchCodec, FullyCleanBatchMatchesPerLine) {
         ASSERT_EQ((mask >> i) & 1u, codec.fully_clean(batch[i]) ? 1u : 0u)
             << "seed " << seed << " t " << t << " line " << i;
       }
-      ASSERT_EQ(mask & ~planes.lane_mask(), 0u) << "seed " << seed << " t " << t;
+      const std::uint64_t lanes =
+          count == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
+      ASSERT_EQ(mask & ~lanes, 0u) << "seed " << seed << " t " << t;
     }
   }
 }

@@ -1,18 +1,21 @@
-// Differential battery for the BCH fast paths (docs/perf.md, "BCH locate
-// and encode"): the byte-table encoder, the closed-form degree-1 and
-// degree-2 locator roots, the early-exit Chien search and GF(2^m)
-// multiply/divide without a modulo.
+// Differential battery for the BCH fast paths (docs/perf.md, "BCH
+// syndromes" and "BCH locate and encode"): the table and CLMUL remainder
+// kernels, the encoder, the clean check and the syndromes they feed, the
+// closed-form degree-1 and degree-2 locator roots, the log-domain Chien
+// search and GF(2^m) multiply/divide without a modulo.
 //
 // The oracle below shares no code with src/codes/bch.cpp. It is built only
 // on GF2m's public API: it derives its own generator polynomial, encodes
 // with a bit-serial LFSR, computes bit-serial syndromes, runs
 // Berlekamp–Massey on growable vectors and scans every Chien point with a
 // direct Horner evaluation. GF2m itself is pinned to gf2::mulmod. Every
-// randomized assertion prints its seed so a failure replays.
+// randomized assertion prints its code and seed so a failure replays.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "codes/bch.h"
@@ -59,6 +62,7 @@ class OracleBch {
   }
 
   std::size_t codeword_bits() const { return n_; }
+  const GF2m& field() const { return f_; }
 
   // Parity of the message in cw[0, k), as stored at cw[k + j]: bit-serial
   // division of message(x)·x^r by g(x), message bit 0 the highest degree.
@@ -74,8 +78,8 @@ class OracleBch {
     return out;
   }
 
-  Result decode(const BitVec& cw) const {
-    // S_j = r(alpha^j) with bit i the coefficient of x^(n-1-i).
+  // S_j = r(alpha^j) with bit i the coefficient of x^(n-1-i).
+  std::vector<std::uint32_t> syndromes(const BitVec& cw) const {
     std::vector<std::uint32_t> s(2 * t_, 0);
     for (int j = 1; j <= 2 * t_; ++j) {
       const std::uint32_t aj = f_.alpha_pow(static_cast<std::uint64_t>(j));
@@ -83,7 +87,22 @@ class OracleBch {
       for (std::size_t i = 0; i < n_; ++i) acc = f_.mul(acc, aj) ^ (cw.test(i) ? 1u : 0u);
       s[j - 1] = acc;
     }
-    return locate(s);
+    return s;
+  }
+
+  Result decode(const BitVec& cw) const { return locate(syndromes(cw)); }
+
+  // Full Chien scan: the bit indices i < n with C(alpha^(i-(n-1))) == 0,
+  // ascending, for a locator C of any degree.
+  std::vector<std::size_t> roots(const std::vector<std::uint32_t>& c) const {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < n_; ++i) {
+      const std::uint32_t x = f_.alpha_pow(i + f_.order() - (n_ - 1) % f_.order());
+      std::uint32_t v = 0;
+      for (std::size_t d = c.size(); d-- > 0;) v = f_.mul(v, x) ^ c[d];
+      if (v == 0) out.push_back(i);
+    }
+    return out;
   }
 
   // The decode outcome for syndromes S_1..S_2t, which need not come from
@@ -127,17 +146,11 @@ class OracleBch {
     if (deg <= 0 || deg > t_) return {Bch::DecodeStatus::kUncorrectable, {}};
 
     // Full Chien scan: bit i is faulty iff C(alpha^(i-(n-1))) == 0.
-    std::vector<std::size_t> roots;
-    for (std::size_t i = 0; i < n_; ++i) {
-      const std::uint32_t x = f_.alpha_pow(i + f_.order() - (n_ - 1) % f_.order());
-      std::uint32_t v = 0;
-      for (int d = deg; d >= 0; --d) v = f_.mul(v, x) ^ c[d];
-      if (v == 0) roots.push_back(i);
-    }
-    if (static_cast<int>(roots.size()) != deg) {
+    std::vector<std::size_t> found = roots(c);
+    if (static_cast<int>(found.size()) != deg) {
       return {Bch::DecodeStatus::kUncorrectable, {}};
     }
-    return {Bch::DecodeStatus::kCorrected, roots};
+    return {Bch::DecodeStatus::kCorrected, found};
   }
 
  private:
@@ -425,6 +438,186 @@ TEST(BchDifferential, FrontierDesignsRandomWeightsMatchOracle) {
     }
   }
   EXPECT_EQ(design_index, 16u);
+}
+
+// ---------------------------------------------------------------------------
+// The remainder and everything built on it, on every code in the battery:
+// both remainder kernels and encode() against the bit-serial parity, then
+// syndromes() and syndromes_zero() against the bit-serial syndromes of the
+// encoded word under random error masks.
+// ---------------------------------------------------------------------------
+
+struct BatteryCode {
+  std::string name;
+  int m;
+  int t;
+  std::size_t k;
+};
+
+// The small shortened codes, the ECC-k line codes, LineCodec's k = 543
+// inner code (k mod 8 != 0), Hi-ECC (two-word remainder, r = 84), the CLMUL
+// corners (no whole 256-bit block, exactly one, r = 64 and r = 65) and every
+// frontier design, 4KB-t6 (m = 16, r = 96) among them.
+std::vector<BatteryCode> battery() {
+  std::vector<BatteryCode> codes;
+  const auto add = [&](int m, int t, std::size_t k) {
+    codes.push_back({"m" + std::to_string(m) + " t" + std::to_string(t) + " k" +
+                         std::to_string(k),
+                     m, t, k});
+  };
+  for (const auto& c : std::vector<SmallCode>{
+           {3, 1, 4}, {4, 2, 7}, {5, 2, 11}, {6, 2, 20}, {6, 3, 30}}) {
+    add(c.m, c.t, c.k);
+  }
+  for (const int t : {1, 2, 3, 4, 6}) add(10, t, 512);
+  for (const int t : {2, 3}) add(10, t, 543);
+  add(14, 6, 8192);
+  add(9, 2, 255);
+  add(10, 3, 256);
+  add(11, 4, 300);
+  add(16, 4, 1000);
+  add(13, 5, 600);
+  for (const std::uint32_t bytes : frontier_codeword_bytes()) {
+    for (const int t : frontier_strengths()) {
+      const EccDesign d = make_ecc_design(bytes, t);
+      codes.push_back({d.name, d.m, d.t, d.data_bits});
+    }
+  }
+  return codes;
+}
+
+Bch::Remainder oracle_remainder(const OracleBch& oracle, const BitVec& cw) {
+  Bch::Remainder rem{};
+  const auto bits = oracle.parity(cw);
+  for (std::size_t j = 0; j < bits.size(); ++j) {
+    if (bits[j]) rem[j / 64] |= std::uint64_t{1} << (j % 64);
+  }
+  return rem;
+}
+
+TEST(BchDifferential, RemainderKernelsEncodeAndSyndromesMatchOracleOnBattery) {
+  // Without pclmulqdq (or with -DSUDOKU_ENABLE_PCLMUL=OFF) the CLMUL check
+  // is left out and remainder() is the table kernel.
+  const bool clmul = Bch::clmul_supported();
+  std::uint64_t code_index = 0;
+  for (const auto& code : battery()) {
+    ++code_index;
+    const Bch bch(code.m, code.t, code.k);
+    const OracleBch oracle(code.m, code.t, code.k);
+    ASSERT_EQ(bch.codeword_bits(), oracle.codeword_bits()) << code.name;
+    const std::size_t n = bch.codeword_bits();
+    // The oracle costs O(k·r + n·t) per trial: fewer trials on larger codes.
+    const int trials = std::clamp(static_cast<int>(40000 / n), 3, 64);
+    const std::uint64_t seed = kBaseSeed + 5000 + code_index;
+    Rng rng(seed);
+    for (int trial = 0; trial < trials; ++trial) {
+      // Random parity bits too: the kernels must not read them.
+      BitVec cw(n);
+      for (auto& w : cw.words()) w = rng.next_u64();
+      if (n % 64 != 0) cw.words().back() &= (std::uint64_t{1} << (n % 64)) - 1;
+      const Bch::Remainder want = oracle_remainder(oracle, cw);
+      ASSERT_EQ(bch.remainder_table(cw), want)
+          << code.name << " seed " << seed << " trial " << trial << ": table";
+      if (clmul) {
+        ASSERT_EQ(bch.remainder_clmul(cw), want)
+            << code.name << " seed " << seed << " trial " << trial << ": clmul";
+      }
+      ASSERT_EQ(bch.remainder(cw), want) << code.name << " seed " << seed;
+      bch.encode(cw);
+      for (std::size_t j = 0; j < bch.parity_bits(); ++j) {
+        ASSERT_EQ(cw.test(bch.message_bits() + j), ((want[j / 64] >> (j % 64)) & 1u) != 0)
+            << code.name << " seed " << seed << " trial " << trial << " parity bit " << j;
+      }
+      // Weight 0 keeps the clean check honest on encoded words.
+      const auto weight = rng.next_below(static_cast<std::uint64_t>(code.t) + 3);
+      for (std::uint64_t e = 0; e < weight; ++e) cw.flip(rng.next_below(n));
+      const auto s = oracle.syndromes(cw);
+      ASSERT_EQ(bch.syndromes(cw), s)
+          << code.name << " seed " << seed << " trial " << trial << " weight " << weight;
+      const bool zero = std::all_of(s.begin(), s.end(), [](std::uint32_t v) { return v == 0; });
+      ASSERT_EQ(bch.syndromes_zero(cw), zero)
+          << code.name << " seed " << seed << " trial " << trial << " weight " << weight;
+    }
+  }
+}
+
+TEST(BchDifferential, ClmulRemainderMatchesTableOnEveryMessageLength) {
+  if (!Bch::clmul_supported()) GTEST_SKIP() << "host lacks pclmulqdq";
+  // Every k from 1 to 1100 at r = 40 and at r = 84: no block, each whole
+  // block count, and every tail length through the byte table.
+  for (const auto& [m, t] : {std::pair{11, 4}, std::pair{14, 6}}) {
+    for (std::size_t k = 1; k <= 1100; ++k) {
+      const Bch bch(m, t, k);
+      const std::uint64_t seed = kBaseSeed + 9000 + 10000 * m + k;
+      Rng rng(seed);
+      BitVec cw(bch.codeword_bits());
+      for (auto& w : cw.words()) w = rng.next_u64();
+      const std::size_t n = bch.codeword_bits();
+      if (n % 64 != 0) cw.words().back() &= (std::uint64_t{1} << (n % 64)) - 1;
+      ASSERT_EQ(bch.remainder_clmul(cw), bch.remainder_table(cw))
+          << "m" << m << " t" << t << " k" << k << " seed " << seed;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The log-domain Chien search against the full-length scan, on locators
+// built from chosen roots: degree 3..6, roots inside the code, past n (in
+// the field but outside the shortened code), repeated (double roots), and
+// random locators whose factors need not split at all.
+// ---------------------------------------------------------------------------
+
+TEST(BchDifferential, ChienSearchMatchesFullScanOnForcedLocators) {
+  const BatteryCode codes[] = {{"ECC-6 line", 10, 6, 512},
+                               {"Hi-ECC", 14, 6, 8192},
+                               {"m12 t6 k2000", 12, 6, 2000}};
+  for (const auto& code : codes) {
+    const Bch bch(code.m, code.t, code.k);
+    const OracleBch oracle(code.m, code.t, code.k);
+    const GF2m& f = oracle.field();
+    const std::size_t n = bch.codeword_bits();
+    const std::uint64_t order = f.order();
+    const std::uint64_t seed = kBaseSeed + 7000 + static_cast<std::uint64_t>(code.m);
+    Rng rng(seed);
+    for (int trial = 0; trial < 300; ++trial) {
+      const int deg = 3 + static_cast<int>(rng.next_below(4));
+      std::vector<std::uint32_t> lambda = {1};
+      std::vector<std::uint64_t> picked;
+      if (trial % 5 == 4) {
+        // Random coefficients: roots wherever they fall, if anywhere.
+        for (int c = 1; c <= deg; ++c) {
+          lambda.push_back(static_cast<std::uint32_t>(rng.next_below(f.size())));
+        }
+        if (lambda.back() == 0) lambda.back() = 1;
+      } else {
+        for (int c = 0; c < deg; ++c) {
+          std::uint64_t p;
+          const auto kind = rng.next_below(4);
+          if (kind == 0 && !picked.empty()) {
+            p = picked[rng.next_below(picked.size())];  // a double root
+          } else if (kind == 1) {
+            p = n + rng.next_below(order - n);  // past the shortened code
+          } else {
+            p = rng.next_below(n);
+          }
+          picked.push_back(p);
+          // Root alpha^(p-(n-1)): multiply by (1 + alpha^((n-1)-p)·x).
+          const std::uint32_t inv_root = f.alpha_pow(n - 1 + order - p);
+          lambda.push_back(0);
+          for (std::size_t d = lambda.size() - 1; d > 0; --d) {
+            lambda[d] ^= f.mul(lambda[d - 1], inv_root);
+          }
+        }
+      }
+      const auto want = oracle.roots(lambda);
+      std::vector<std::size_t> got(static_cast<std::size_t>(deg));
+      const int count = bch.chien_search(lambda, got.data());
+      got.resize(static_cast<std::size_t>(count));
+      ASSERT_EQ(got, want) << code.name << " seed " << seed << " trial " << trial
+                           << " positions " << ::testing::PrintToString(picked)
+                           << " locator " << ::testing::PrintToString(lambda);
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Differential tests for the word-at-a-time codec kernels (docs/perf.md):
 // the slicing-by-8 CRC, the parity-mask Hamming syndromes (portable and
-// AVX-512) and the per-word Horner BCH syndromes must be *bit-identical*
+// AVX-512) and the remainder-based BCH syndromes must be *bit-identical*
 // to their bit-serial oracles on random payloads and random <=6-bit error
 // masks — the "bit-identical or it doesn't ship" rule. Every assertion
 // prints the trial seed so a failure replays from the command line (same

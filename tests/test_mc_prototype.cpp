@@ -10,7 +10,7 @@
 //   * concurrent shards leave the prototype's array, verified bits and
 //     parity untouched, and record nothing into a registry attached to it.
 // The concurrent cases also give ThreadSanitizer the shared golden and the
-// shared BCH slice program to check.
+// shared BCH tables to check.
 #include <gtest/gtest.h>
 
 #include <functional>
